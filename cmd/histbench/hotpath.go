@@ -60,8 +60,7 @@ func measuredNote(procs int) string {
 // parallelism it records: serial bodies at gomaxprocs 1, the ParallelN
 // variants with GOMAXPROCS raised to N around the benchmark (timeshared
 // when the machine has fewer cores — the note says so). No entry is ever
-// projected from a model; the Projected flag exists so old reports that
-// did project can be recognized and reported as unverified by the gate.
+// projected from a model.
 func measureHotpath(stderr io.Writer) cli.HotpathReport {
 	run := func(name string, procs int, body func(b *testing.B)) cli.HotpathResult {
 		fmt.Fprintf(stderr, "running %s (gomaxprocs %d)...\n", name, procs)
@@ -124,10 +123,7 @@ func gateHotpath(path string, tolerance float64, stdout, stderr io.Writer) (int,
 		return 0, err
 	}
 	fresh := measureHotpath(stderr)
-	violations, skipped, unverified := cli.CompareHotpath(committed.Results, fresh.Results, tolerance, nsGateTolerance)
-	for _, u := range unverified {
-		fmt.Fprintf(stderr, "histbench: perf gate: %s\n", u)
-	}
+	violations, skipped := cli.CompareHotpath(committed.Results, fresh.Results, tolerance, nsGateTolerance)
 	for _, s := range skipped {
 		fmt.Fprintf(stderr, "histbench: perf gate: %s\n", s)
 	}
@@ -135,8 +131,8 @@ func gateHotpath(path string, tolerance float64, stdout, stderr io.Writer) (int,
 		fmt.Fprintf(stderr, "histbench: perf gate: %s\n", v)
 	}
 	if len(violations) == 0 {
-		fmt.Fprintf(stdout, "perf gate: %d benchmark(s) within %.0f%% allocs / %.0f%% ns of %s (%d skipped as not like-for-like, %d unverified projected baseline(s))\n",
-			len(committed.Results)-len(skipped)-len(unverified), tolerance*100, nsGateTolerance*100, path, len(skipped), len(unverified))
+		fmt.Fprintf(stdout, "perf gate: %d benchmark(s) within %.0f%% allocs / %.0f%% ns of %s (%d skipped as not like-for-like)\n",
+			len(committed.Results)-len(skipped), tolerance*100, nsGateTolerance*100, path, len(skipped))
 	}
 	return len(violations), nil
 }

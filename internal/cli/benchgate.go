@@ -30,11 +30,6 @@ type HotpathResult struct {
 	// compares entries measured at equal parallelism.
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Note       string `json:"note,omitempty"`
-	// Projected marks an entry whose ns/op was derived from a model
-	// (e.g. a serial stage split) instead of measured. Projected baseline
-	// entries never gate: the gate reports them as unverified until the
-	// report is regenerated with measured numbers.
-	Projected bool `json:"projected,omitempty"`
 }
 
 // HotpathReport is the schema of BENCH_hotpath.json. Baseline holds the
@@ -91,12 +86,7 @@ func LoadHotpathReport(path string) (*HotpathReport, error) {
 // second return value: a silent skip let a regenerated report quietly
 // stop gating a benchmark, so CI logs must show exactly which
 // comparisons did not run and why.
-//
-// Baseline entries marked Projected never gate either metric: a number
-// derived from a model is not a reference, only a placeholder. They are
-// returned in unverified so the gate prints exactly which baselines are
-// still awaiting a measured regeneration.
-func CompareHotpath(baseline, current map[string]HotpathResult, allocTolerance, nsTolerance float64) (violations, skipped, unverified []string) {
+func CompareHotpath(baseline, current map[string]HotpathResult, allocTolerance, nsTolerance float64) (violations, skipped []string) {
 	names := make([]string, 0, len(baseline))
 	for name := range baseline {
 		names = append(names, name)
@@ -105,11 +95,6 @@ func CompareHotpath(baseline, current map[string]HotpathResult, allocTolerance, 
 
 	for _, name := range names {
 		base := baseline[name]
-		if base.Projected {
-			unverified = append(unverified,
-				fmt.Sprintf("%s: unverified — baseline ns/op is a projection, not a measurement; regenerate the report on real hardware to arm this gate", name))
-			continue
-		}
 		cur, ok := current[name]
 		if !ok {
 			violations = append(violations,
@@ -139,5 +124,5 @@ func CompareHotpath(baseline, current map[string]HotpathResult, allocTolerance, 
 			}
 		}
 	}
-	return violations, skipped, unverified
+	return violations, skipped
 }

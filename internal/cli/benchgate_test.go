@@ -11,7 +11,7 @@ import (
 func TestCompareHotpathWithinTolerance(t *testing.T) {
 	base := map[string]HotpathResult{"B": {AllocsPerOp: 100}}
 	cur := map[string]HotpathResult{"B": {AllocsPerOp: 110}} // exactly +10%
-	if v, _, _ := CompareHotpath(base, cur, 0.10, 0); len(v) != 0 {
+	if v, _ := CompareHotpath(base, cur, 0.10, 0); len(v) != 0 {
 		t.Fatalf("+10%% should be within a 10%% tolerance, got %v", v)
 	}
 }
@@ -19,7 +19,7 @@ func TestCompareHotpathWithinTolerance(t *testing.T) {
 func TestCompareHotpathRegression(t *testing.T) {
 	base := map[string]HotpathResult{"B": {AllocsPerOp: 100}}
 	cur := map[string]HotpathResult{"B": {AllocsPerOp: 111}}
-	v, _, _ := CompareHotpath(base, cur, 0.10, 0)
+	v, _ := CompareHotpath(base, cur, 0.10, 0)
 	if len(v) != 1 || !strings.Contains(v[0], "100 -> 111") {
 		t.Fatalf("+11%% should violate a 10%% tolerance, got %v", v)
 	}
@@ -29,17 +29,17 @@ func TestCompareHotpathZeroAllocBaseline(t *testing.T) {
 	// A zero-alloc benchmark must stay zero-alloc: tolerance scales the
 	// baseline, so any allocation at all is a regression.
 	base := map[string]HotpathResult{"B": {AllocsPerOp: 0}}
-	if v, _, _ := CompareHotpath(base, map[string]HotpathResult{"B": {AllocsPerOp: 1}}, 0.10, 0); len(v) != 1 {
+	if v, _ := CompareHotpath(base, map[string]HotpathResult{"B": {AllocsPerOp: 1}}, 0.10, 0); len(v) != 1 {
 		t.Fatalf("1 alloc against a zero-alloc baseline should violate, got %v", v)
 	}
-	if v, _, _ := CompareHotpath(base, map[string]HotpathResult{"B": {AllocsPerOp: 0}}, 0.10, 0); len(v) != 0 {
+	if v, _ := CompareHotpath(base, map[string]HotpathResult{"B": {AllocsPerOp: 0}}, 0.10, 0); len(v) != 0 {
 		t.Fatalf("zero allocs against a zero-alloc baseline should pass, got %v", v)
 	}
 }
 
 func TestCompareHotpathMissingBenchmark(t *testing.T) {
 	base := map[string]HotpathResult{"Gone": {AllocsPerOp: 5}}
-	v, _, _ := CompareHotpath(base, map[string]HotpathResult{}, 0.10, 0.15)
+	v, _ := CompareHotpath(base, map[string]HotpathResult{}, 0.10, 0.15)
 	if len(v) != 1 || !strings.Contains(v[0], "missing") {
 		t.Fatalf("a dropped benchmark must not pass silently, got %v", v)
 	}
@@ -51,7 +51,7 @@ func TestCompareHotpathIgnoresNewBenchmarks(t *testing.T) {
 		"B":   {AllocsPerOp: 10},
 		"New": {AllocsPerOp: 1 << 20}, // no reference yet; not gated
 	}
-	if v, _, _ := CompareHotpath(base, cur, 0.10, 0.15); len(v) != 0 {
+	if v, _ := CompareHotpath(base, cur, 0.10, 0.15); len(v) != 0 {
 		t.Fatalf("benchmarks without a baseline should not gate, got %v", v)
 	}
 }
@@ -59,16 +59,16 @@ func TestCompareHotpathIgnoresNewBenchmarks(t *testing.T) {
 func TestCompareHotpathNsPerOp(t *testing.T) {
 	base := map[string]HotpathResult{"B": {NsPerOp: 1000, GOMAXPROCS: 1}}
 	within := map[string]HotpathResult{"B": {NsPerOp: 1150, GOMAXPROCS: 1}} // exactly +15%
-	if v, _, _ := CompareHotpath(base, within, 0.10, 0.15); len(v) != 0 {
+	if v, _ := CompareHotpath(base, within, 0.10, 0.15); len(v) != 0 {
 		t.Fatalf("+15%% ns/op should be within a 15%% tolerance, got %v", v)
 	}
 	regressed := map[string]HotpathResult{"B": {NsPerOp: 1160, GOMAXPROCS: 1}}
-	v, _, _ := CompareHotpath(base, regressed, 0.10, 0.15)
+	v, _ := CompareHotpath(base, regressed, 0.10, 0.15)
 	if len(v) != 1 || !strings.Contains(v[0], "ns/op regressed") {
 		t.Fatalf("+16%% ns/op should violate a 15%% tolerance, got %v", v)
 	}
 	// Disabled when the tolerance is non-positive.
-	if v, _, _ := CompareHotpath(base, regressed, 0.10, 0); len(v) != 0 {
+	if v, _ := CompareHotpath(base, regressed, 0.10, 0); len(v) != 0 {
 		t.Fatalf("ns/op gate should be off at tolerance 0, got %v", v)
 	}
 }
@@ -78,12 +78,12 @@ func TestCompareHotpathSkipsMismatchedGOMAXPROCS(t *testing.T) {
 	// another: neither metric is comparable across the fan-out change.
 	base := map[string]HotpathResult{"B": {NsPerOp: 1000, AllocsPerOp: 10, GOMAXPROCS: 8}}
 	cur := map[string]HotpathResult{"B": {NsPerOp: 8000, AllocsPerOp: 99, GOMAXPROCS: 1}}
-	if v, _, _ := CompareHotpath(base, cur, 0.10, 0.15); len(v) != 0 {
+	if v, _ := CompareHotpath(base, cur, 0.10, 0.15); len(v) != 0 {
 		t.Fatalf("mismatched gomaxprocs entries must be skipped, got %v", v)
 	}
 	// Matching entries still gate.
 	cur["B"] = HotpathResult{NsPerOp: 8000, AllocsPerOp: 99, GOMAXPROCS: 8}
-	if v, _, _ := CompareHotpath(base, cur, 0.10, 0.15); len(v) != 2 {
+	if v, _ := CompareHotpath(base, cur, 0.10, 0.15); len(v) != 2 {
 		t.Fatalf("matching gomaxprocs should gate both metrics, got %v", v)
 	}
 }
@@ -99,7 +99,7 @@ func TestCompareHotpathReportsSkippedPairs(t *testing.T) {
 		"Par": {NsPerOp: 1000, AllocsPerOp: 10, GOMAXPROCS: 1}, // machine too small
 		"Ser": {NsPerOp: 2000, AllocsPerOp: 20, GOMAXPROCS: 1},
 	}
-	v, skipped, _ := CompareHotpath(base, cur, 0.10, 0.15)
+	v, skipped := CompareHotpath(base, cur, 0.10, 0.15)
 	if len(v) != 0 {
 		t.Fatalf("expected no violations, got %v", v)
 	}
@@ -114,43 +114,8 @@ func TestCompareHotpathReportsSkippedPairs(t *testing.T) {
 
 	// Fully like-for-like runs report nothing skipped.
 	cur["Par"] = HotpathResult{NsPerOp: 1000, AllocsPerOp: 10, GOMAXPROCS: 4}
-	if _, skipped, _ := CompareHotpath(base, cur, 0.10, 0.15); len(skipped) != 0 {
+	if _, skipped := CompareHotpath(base, cur, 0.10, 0.15); len(skipped) != 0 {
 		t.Fatalf("nothing should be skipped on a like-for-like run, got %v", skipped)
-	}
-}
-
-func TestCompareHotpathProjectedBaselineNeverGates(t *testing.T) {
-	// A projected baseline is a placeholder, not a reference: even a
-	// grossly regressed current run must not violate against it — and it
-	// must not pass silently either, so it is reported as unverified.
-	base := map[string]HotpathResult{
-		"Par":  {NsPerOp: 1000, AllocsPerOp: 10, GOMAXPROCS: 4, Projected: true},
-		"Real": {NsPerOp: 1000, AllocsPerOp: 10, GOMAXPROCS: 1},
-	}
-	cur := map[string]HotpathResult{
-		"Par":  {NsPerOp: 99000, AllocsPerOp: 9999, GOMAXPROCS: 4},
-		"Real": {NsPerOp: 1000, AllocsPerOp: 10, GOMAXPROCS: 1},
-	}
-	v, skipped, unverified := CompareHotpath(base, cur, 0.10, 0.15)
-	if len(v) != 0 || len(skipped) != 0 {
-		t.Fatalf("projected baseline must not gate or skip: violations %v, skipped %v", v, skipped)
-	}
-	if len(unverified) != 1 || !strings.Contains(unverified[0], "Par") ||
-		!strings.Contains(unverified[0], "projection") {
-		t.Fatalf("projected baseline must be reported as unverified, got %v", unverified)
-	}
-
-	// A projected baseline is even exempt from the missing-benchmark
-	// violation — there is nothing trustworthy to hold the current run to.
-	delete(cur, "Par")
-	if v, _, unv := CompareHotpath(base, cur, 0.10, 0.15); len(v) != 0 || len(unv) != 1 {
-		t.Fatalf("missing benchmark under a projected baseline: violations %v, unverified %v", v, unv)
-	}
-
-	// Measured baselines still gate as before.
-	cur["Real"] = HotpathResult{NsPerOp: 5000, AllocsPerOp: 10, GOMAXPROCS: 1}
-	if v, _, _ := CompareHotpath(base, cur, 0.10, 0.15); len(v) != 1 {
-		t.Fatalf("measured baseline should still gate, got %v", v)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/dist"
@@ -193,11 +194,8 @@ func DrawCountsWith(o Oracle, r *rng.RNG, mean float64, cs CountStrategy) *Count
 type Sampler struct {
 	n     int
 	r     *rng.RNG
-	lo    []int // run bounds
-	hi    []int
-	alias []int
-	prob  []float64
-	w     []float64 // normalized run weights (mass_j / total), immutable
+	runs  []aliasRun // immutable, shared with forks
+	kCut  uint64     // Lemire rejection threshold for len(runs): 2⁶⁴ mod len(runs)
 	count int64
 
 	// cfTotals is DrawPoissonCountsClosedForm's per-run total scratch:
@@ -207,6 +205,20 @@ type Sampler struct {
 	cfTotals []int
 }
 
+// aliasRun is column j of the alias table packed with constant run j. A
+// draw picks a column uniformly, keeps its run with probability prob or
+// takes run alias instead, then places the sample uniformly in
+// [lo, lo+width).
+type aliasRun struct {
+	keep  uint64 // keepCut(prob), the coin tallyDense flips
+	alias int
+	lo    int
+	width uint64
+	cut   uint64  // Lemire rejection threshold for width: 2⁶⁴ mod width
+	prob  float64 // the coin draw flips
+	w     float64 // normalized run weight mass_j/total
+}
+
 var _ Oracle = (*Sampler)(nil)
 
 // NewSampler builds a sampler for d using randomness from r. It panics if
@@ -214,7 +226,7 @@ var _ Oracle = (*Sampler)(nil)
 // sampling probabilities are proportional to d's masses.
 func NewSampler(d dist.Distribution, r *rng.RNG) *Sampler {
 	n := d.N()
-	var lo, hi []int
+	var lo []int
 	var mass []float64
 	total := 0.0
 	for i := 0; i < n; {
@@ -224,7 +236,6 @@ func NewSampler(d dist.Distribution, r *rng.RNG) *Sampler {
 		}
 		m := d.Prob(i) * float64(end-i)
 		lo = append(lo, i)
-		hi = append(hi, end)
 		mass = append(mass, m)
 		total += m
 		i = end
@@ -232,13 +243,36 @@ func NewSampler(d dist.Distribution, r *rng.RNG) *Sampler {
 	if total <= 0 {
 		panic("oracle: sampler over zero-mass distribution")
 	}
-	s := &Sampler{n: n, r: r, lo: lo, hi: hi}
-	s.alias, s.prob = buildAlias(mass, total)
-	s.w = make([]float64, len(mass))
-	for j, m := range mass {
-		s.w[j] = m / total
+	alias, prob := buildAlias(mass, total)
+	runs := make([]aliasRun, len(lo))
+	for j := range runs {
+		hi := n
+		if j+1 < len(lo) {
+			hi = lo[j+1]
+		}
+		width := uint64(hi - lo[j])
+		runs[j] = aliasRun{
+			keep: keepCut(prob[j]), alias: alias[j],
+			lo: lo[j], width: width, cut: -width % width,
+			prob: prob[j], w: mass[j] / total,
+		}
 	}
-	return s
+	k := uint64(len(runs))
+	return &Sampler{n: n, r: r, runs: runs, kCut: -k % k}
+}
+
+// keepCut returns ⌈p·2⁵³⌉ clamped to [0, 2⁵³], so that for every 53-bit
+// a, a >= keepCut(p) exactly when a·2⁻⁵³ >= p: the coin
+// rng.Float64() >= p decided on the Uint64()>>11 it is built from. Both
+// scalings by 2^±53 are exact, so no draw can come out differently.
+func keepCut(p float64) uint64 {
+	switch {
+	case p <= 0:
+		return 0
+	case !(p < 1): // NaN included: Float64() >= NaN never holds
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // buildAlias constructs Walker–Vose alias tables for the normalized weights
@@ -290,32 +324,83 @@ func (s *Sampler) Draw() int {
 	return s.draw()
 }
 
-// draw is the uncounted alias-table draw shared by Draw and the batched
-// counting paths.
+// draw is the uncounted alias-table draw of the sparse batch path, and
+// the reference the fused dense loop of tallyDense is checked against.
 func (s *Sampler) draw() int {
-	j := s.r.Intn(len(s.prob))
-	if s.r.Float64() >= s.prob[j] {
-		j = s.alias[j]
+	j := s.r.Intn(len(s.runs))
+	if s.r.Float64() >= s.runs[j].prob {
+		j = s.runs[j].alias
 	}
-	if s.hi[j]-s.lo[j] == 1 {
-		return s.lo[j]
+	run := &s.runs[j]
+	if run.width == 1 {
+		return run.lo
 	}
-	return s.lo[j] + s.r.Intn(s.hi[j]-s.lo[j])
+	return run.lo + s.r.Intn(int(run.width))
 }
 
 // DrawPoissonCounts is DrawCounts specialized to the alias-table sampler:
 // the Poisson variate comes from r, the draws from the sampler's own
-// stream, and the tally loop runs devirtualized. The randomness consumed
-// is identical to the generic DrawCounts path. The Counts comes from the
-// buffer pool; Release it once consumed.
+// stream. The randomness consumed is identical to the generic DrawCounts
+// path. The Counts comes from the buffer pool; Release it once consumed.
 func (s *Sampler) DrawPoissonCounts(r *rng.RNG, mean float64) *Counts {
-	m := r.Poisson(mean)
+	return s.drawCounts(r.Poisson(mean))
+}
+
+// drawCounts tallies m exact draws into a pooled Counts: a dense backing
+// is filled by the fused tallyDense loop, a sparse one draw by draw.
+func (s *Sampler) drawCounts(m int) *Counts {
 	c := acquireCountsSized(s.n, m)
 	s.count += int64(m)
+	if c.dense != nil {
+		s.tallyDense(c, m)
+		return c
+	}
 	for i := 0; i < m; i++ {
 		c.bump(s.draw())
 	}
 	return c
+}
+
+// tallyDense adds m exact draws to the dense backing of c. It is m calls
+// of draw() fused into one loop, and it consumes exactly the Uint64
+// sequence those calls consume: the generator is copied into a local for
+// the batch and written back once, the bounded draws are Lemire's method
+// on the thresholds precomputed in the table, and the tallies stay in
+// locals. Every count, and the stream position afterwards, is therefore
+// bit-identical to the per-draw path.
+func (s *Sampler) tallyDense(c *Counts, m int) {
+	runs, k, kCut := s.runs, uint64(len(s.runs)), s.kCut
+	dense, distinct := c.dense, c.distinct
+	g := *s.r
+	for i := 0; i < m; i++ {
+		j, frac := bits.Mul64(g.Uint64(), k)
+		for frac < kCut {
+			j, frac = bits.Mul64(g.Uint64(), k)
+		}
+		// The alias coin defeats the branch predictor, so the column
+		// switches to its alias without a branch: toAlias is all ones
+		// exactly when Uint64()>>11 >= keep (both sides below 2⁵³+1, so
+		// the signed difference cannot overflow).
+		col := &runs[j]
+		toAlias := uint64(int64(col.keep-1-g.Uint64()>>11) >> 63)
+		j ^= (j ^ uint64(col.alias)) & toAlias
+		run := &runs[j]
+		v := run.lo
+		if run.width > 1 {
+			off, frac := bits.Mul64(g.Uint64(), run.width)
+			for frac < run.cut {
+				off, frac = bits.Mul64(g.Uint64(), run.width)
+			}
+			v += int(off)
+		}
+		if dense[v] == 0 {
+			distinct++
+		}
+		dense[v]++
+	}
+	*s.r = g
+	c.distinct = distinct
+	c.total += m
 }
 
 // DrawPoissonCountsClosedForm implements CountDrawer: it synthesizes the
@@ -348,15 +433,15 @@ func (s *Sampler) DrawPoissonCountsClosedForm(r *rng.RNG, mean float64) *Counts 
 	// can be sized on the realized sample size, matching the per-draw
 	// path's dense/sparse crossover. Dense runs synthesize per-element
 	// counts in the second pass; their expectation stands in for sizing.
-	k := len(s.w)
+	k := len(s.runs)
 	if cap(s.cfTotals) < k {
 		s.cfTotals = make([]int, k)
 	}
 	totals := s.cfTotals[:k]
 	size := 0
-	for j := range s.w {
-		width := s.hi[j] - s.lo[j]
-		t := mean * s.w[j]
+	for j := range s.runs {
+		width := int(s.runs[j].width)
+		t := mean * s.runs[j].w
 		if width > 1 && t >= float64(width) {
 			totals[j] = -1 // dense run: materialized per element below
 			size += int(t)
@@ -368,10 +453,10 @@ func (s *Sampler) DrawPoissonCountsClosedForm(r *rng.RNG, mean float64) *Counts 
 	c := acquireCountsSized(s.n, size)
 	drawn := 0
 	for j, tj := range totals {
-		lo, width := s.lo[j], s.hi[j]-s.lo[j]
+		lo, width := s.runs[j].lo, int(s.runs[j].width)
 		if tj < 0 {
 			// Dense run: independent per-element Poisson thinning.
-			lam := mean * s.w[j] / float64(width)
+			lam := mean * s.runs[j].w / float64(width)
 			for i := 0; i < width; i++ {
 				if ci := s.r.Poisson(lam); ci > 0 {
 					c.bumpN(lo+i, ci)
@@ -408,10 +493,10 @@ func (s *Sampler) ResetCount() { s.count = 0 }
 func (s *Sampler) CanFork() bool { return true }
 
 // Fork returns an independent sampler over the same distribution, sharing
-// the immutable alias tables (and run weights) but drawing from r with a
+// the immutable alias table (and run weights) but drawing from r with a
 // zeroed counter.
 func (s *Sampler) Fork(r *rng.RNG) Oracle {
-	return &Sampler{n: s.n, r: r, lo: s.lo, hi: s.hi, alias: s.alias, prob: s.prob, w: s.w}
+	return &Sampler{n: s.n, r: r, runs: s.runs, kCut: s.kCut}
 }
 
 // Absorb folds clone draws back into the sampler's counter.
@@ -648,12 +733,11 @@ func newCountsSized(n, m int) *Counts {
 	return &Counts{n: n, m: make(map[int]int, m)}
 }
 
-// bump tallies one in-range sample. It is the single maintenance point
-// for the dense/sparse backing, the distinct tally, and the running
-// total — every counting path (the generic per-draw loop, the sampler's
-// devirtualized loop, and the closed-form synthesizer) funnels through
-// bump/bumpN, so the two backings cannot drift apart. Callers must
-// guarantee v ∈ [0, n); add wraps bump with the bounds check for
+// bump tallies one in-range sample. It maintains the dense/sparse
+// backing, the distinct tally, and the running total for every counting
+// path except Sampler.tallyDense, which keeps the dense tallies in locals
+// for a whole batch (FuzzSamplerBatchTally checks the two agree). Callers
+// must guarantee v ∈ [0, n); add wraps bump with the bounds check for
 // arbitrary-oracle inputs.
 func (c *Counts) bump(v int) {
 	if c.dense != nil {

@@ -177,6 +177,9 @@ func releaseOnPanic(c *Counts) {
 // (m sequential draws from o) and yields identical counts. The caller
 // owns the result; Release it when the tally has been consumed.
 func DrawNCounts(o Oracle, m int) *Counts {
+	if s, ok := o.(*Sampler); ok {
+		return s.drawCounts(m)
+	}
 	c := acquireCountsSized(o.N(), m)
 	defer releaseOnPanic(c)
 	for i := 0; i < m; i++ {

@@ -8,7 +8,10 @@
 // adequate for Monte-Carlo work and much faster than crypto sources.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator (xoshiro256**).
 // It is NOT safe for concurrent use; give each goroutine its own RNG,
@@ -59,18 +62,16 @@ func (r *RNG) SplitInto(child *RNG) {
 	child.Seed(r.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s1*5, 7) * 9
+	result := bits.RotateLeft64(r.s1*5, 7) * 9
 	t := r.s1 << 17
 	r.s2 ^= r.s0
 	r.s3 ^= r.s1
 	r.s1 ^= r.s2
 	r.s0 ^= r.s3
 	r.s2 ^= t
-	r.s3 = rotl(r.s3, 45)
+	r.s3 = bits.RotateLeft64(r.s3, 45)
 	return result
 }
 
@@ -98,27 +99,15 @@ func (r *RNG) Intn(n int) int {
 	}
 	un := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, un)
+	hi, lo := bits.Mul64(x, un)
 	if lo < un {
 		thresh := -un % un
 		for lo < thresh {
 			x = r.Uint64()
-			hi, lo = mul64(x, un)
+			hi, lo = bits.Mul64(x, un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Int63 returns a uniform non-negative int64.
