@@ -122,7 +122,7 @@ FUZZTIME ?= 15s
 
 fuzz:
 	$(GO) test -fuzz=FuzzEngineSelection -fuzztime=$(FUZZTIME) ./internal/serve/
-	$(GO) test -fuzz=FuzzClosenessDecoder -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz=FuzzRequestDecoder -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzFromBoundaries -fuzztime=$(FUZZTIME) ./internal/intervals/
 	$(GO) test -fuzz=FuzzDomainAlgebra -fuzztime=$(FUZZTIME) ./internal/intervals/
 	$(GO) test -fuzz=FuzzProjectTV -fuzztime=$(FUZZTIME) ./internal/histdp/

@@ -1,10 +1,11 @@
 // Stream drift detection: monitor a live data stream and alert when its
 // distribution stops being representable by the k-histogram model the
-// downstream system assumes. Events flow through a fixed-size chunker
-// (internal/stream); each complete chunk is handed to the tester. An
-// accepted chunk keeps the model, a rejected one signals that the summary
-// (and anything tuned to it — query plans, alert thresholds) must be
-// rebuilt with more bins.
+// downstream system assumes. Events are tallied in a tumbling window —
+// a one-generation stream.Accumulator, the ingest engine behind histd's
+// /v1/streams — and each full window's counts are replayed into the
+// tester. An accepted window keeps the model, a rejected one signals
+// that the summary (and anything tuned to it — query plans, alert
+// thresholds) must be rebuilt with more bins.
 //
 //	go run ./examples/streamcheck
 package main
@@ -14,6 +15,9 @@ import (
 	"log"
 
 	"repro/histtest"
+	"repro/internal/core"
+	"repro/internal/oracle"
+	"repro/internal/rng"
 	"repro/internal/stream"
 )
 
@@ -23,14 +27,13 @@ const (
 	eps = 0.45
 )
 
-// phase describes one regime of the simulated stream.
+// phase describes one regime of the simulated stream, one window long.
 type phase struct {
-	name   string
-	src    histtest.Source
-	events int
+	name string
+	src  histtest.Source
 }
 
-func phases(window int) ([]phase, error) {
+func phases() ([]phase, error) {
 	// Regime A: a clean 3-histogram (the provisioned model).
 	clean, err := histtest.NewHistogram(n, []int{400, 1400}, []float64{0.3, 0.5, 0.2})
 	if err != nil {
@@ -55,51 +58,49 @@ func phases(window int) ([]phase, error) {
 		return nil, err
 	}
 	return []phase{
-		{"regime A (provisioned 3-histogram)", clean.Sampler(10), window},
-		{"regime B (drifted, still 3 bands)", drifted.Sampler(11), window},
-		{"regime C (structural break)", broken.Sampler(12), window},
+		{"regime A (provisioned 3-histogram)", clean.Sampler(10)},
+		{"regime B (drifted, still 3 bands)", drifted.Sampler(11)},
+		{"regime C (structural break)", broken.Sampler(12)},
 	}, nil
 }
 
 func main() {
 	window := int(histtest.RequiredSamples(n, k, eps, histtest.Options{}))
 	window += window / 4
-	ps, err := phases(window)
+	ps, err := phases()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("chunk size: %d events; model: %d-histogram over [0,%d) at ε=%.2f\n\n", window, k, n, eps)
+	fmt.Printf("window: %d events; model: %d-histogram over [0,%d) at ε=%.2f\n\n", window, k, n, eps)
 
-	// The chunker hands each complete window to the tester.
-	seed := uint64(100)
-	names := make([]string, 0, len(ps))
-	chunker, err := stream.NewChunker(window, func(samples []int) (bool, error) {
-		v, err := histtest.TestSamples(samples, n, k, eps, histtest.Options{Seed: seed})
-		if err != nil {
-			return false, err
-		}
-		seed++
-		return v.IsKHistogram, nil
-	})
+	// One generation and no rotation clock: Rotate clears the whole
+	// tally, so each window is tested on its own events only.
+	acc, err := stream.NewAccumulator(stream.AccumConfig{N: n})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Replay the regimes through the stream.
-	for _, p := range ps {
-		names = append(names, p.name)
-		for i := 0; i < p.events; i++ {
-			chunker.Offer(p.src())
+	events := make([]int32, window)
+	for i, p := range ps {
+		for j := range events {
+			events[j] = int32(p.src())
 		}
-	}
+		acc.Ingest(events)
 
-	for i, v := range chunker.Verdicts() {
+		// The window's counts replay without replacement in an order
+		// drawn from their own generator, independent of the tester's.
+		counts, _ := acc.Snapshot()
+		seed := uint64(100 + i)
+		o := oracle.NewCountsReplay(counts, rng.New(seed<<32))
+		counts.Release()
+		res, err := core.Test(o, rng.New(seed), k, eps, core.PracticalConfig())
+		acc.Rotate()
+
 		status := "OK      model holds"
-		if v.Err != nil {
-			status = "ERROR   " + v.Err.Error()
-		} else if !v.Accept {
+		if err != nil {
+			status = "ERROR   " + err.Error()
+		} else if !res.Accept {
 			status = "ALERT   rebuild summary"
 		}
-		fmt.Printf("%-38s %s\n", names[i], status)
+		fmt.Printf("%-38s %s\n", p.name, status)
 	}
 }

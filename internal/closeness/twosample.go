@@ -146,16 +146,26 @@ func (c Config) reduced(n, k int, eps float64) bool {
 func (c Config) ExpectedSamples(n, k int, eps float64) int64 {
 	if !c.reduced(n, k, eps) {
 		m := c.Chi.SampleMean(n, eps)
-		return int64(c.reps()) * 2 * int64(math.Ceil(m))
+		return learn.SampleCount(float64(2*c.reps()) * math.Ceil(m))
 	}
 	b := c.PartB(k, eps)
 	partM := learn.ApproxPartSamples(b, c.PartSampleC)
-	K := 2 * (int(7*b/3) + 4) // two refined worst-case ApproxPart outputs
-	if K > n {
-		K = n
+	K := n // two refined worst-case ApproxPart outputs, at most n
+	if pieces := learn.SampleCount(7 * b / 3); pieces < int64(n) {
+		K = min(2*(int(pieces)+4), n)
 	}
 	m := c.Chi.SampleMean(K, eps)
-	return 2*int64(partM) + int64(c.reps())*2*int64(math.Ceil(m))
+	return learn.SampleCount(2*float64(partM) + float64(2*c.reps())*math.Ceil(m))
+}
+
+// CheckBudget is Run's budget guard: it errs exactly when Run over a
+// domain of size n at (k, eps) would refuse to start because the
+// nominal budget exceeds MaxSamples.
+func (c Config) CheckBudget(n, k int, eps float64) error {
+	if want := c.ExpectedSamples(n, k, eps); want > c.maxSamples() {
+		return fmt.Errorf("closeness: nominal budget %d exceeds MaxSamples %d", want, c.maxSamples())
+	}
+	return nil
 }
 
 // TwoSampleResult reports one two-sample closeness run.
@@ -254,8 +264,8 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("closeness: eps = %v must be in (0, 1]", eps)
 	}
-	if want := cfg.ExpectedSamples(n, k, eps); want > cfg.maxSamples() {
-		return nil, fmt.Errorf("closeness: nominal budget %d exceeds MaxSamples %d", want, cfg.maxSamples())
+	if err := cfg.CheckBudget(n, k, eps); err != nil {
+		return nil, err
 	}
 
 	res := &TwoSampleResult{N: n, Reps: cfg.reps()}

@@ -293,3 +293,20 @@ func TestTwoSampleSavesOverFullDomain(t *testing.T) {
 		t.Fatalf("no asymptotic win: reduced budget %d >= naive %d at n=2^16", nReduced, nNaive)
 	}
 }
+
+// TestExpectedSamplesSaturates: as ε → 0 the two-sample budget outgrows
+// an int64. It saturates instead of wrapping, so the guard refuses the
+// run before any draw instead of "accepting" on a wrapped budget.
+func TestExpectedSamplesSaturates(t *testing.T) {
+	for _, eps := range []float64{1e-9, 1e-20, 5e-324} {
+		for _, n := range []int{16, 1 << 30} {
+			if est := DefaultConfig().ExpectedSamples(n, 2, eps); est != math.MaxInt64 {
+				t.Fatalf("n=%d, eps=%g: ExpectedSamples = %d, want saturation at MaxInt64", n, eps, est)
+			}
+		}
+		px, py := yesPair(rng.New(1), 16, 2)
+		if _, err := TestTwoSample(context.Background(), px, py, rng.New(2), 2, eps, DefaultConfig()); err == nil || px.Samples()+py.Samples() != 0 {
+			t.Fatalf("eps=%g: err = %v after %d draws, want the budget guard before any draw", eps, err, px.Samples()+py.Samples())
+		}
+	}
+}

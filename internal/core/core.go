@@ -327,13 +327,28 @@ func (a *Arena) TestContext(ctx context.Context, o oracle.Oracle, r *rng.RNG, k 
 		a.emit(obs.Event{Kind: obs.KindRunEnd, Accept: true})
 		return &Result{Accept: true, Domain: intervals.FullDomain(n)}, nil
 	}
-	if est := eng.ExpectedSamples(n, k, eps, cfg); est > cfg.maxSamples() {
-		return a.fail(0, fmt.Errorf("core: nominal budget %d samples exceeds the guard %d; lower the constants (Config.Scale) or raise Config.MaxSamples", est, cfg.maxSamples()))
+	if err := CheckBudget(n, k, eps, cfg); err != nil {
+		return a.fail(0, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return a.fail(0, err)
 	}
 	return eng.run(ctx, a, o, r, k, eps, cfg)
+}
+
+// CheckBudget is the driver's budget guard: it errs exactly when Test
+// over a domain of size n at (k, eps) under cfg would refuse to start
+// because the selected engine's nominal budget exceeds cfg.MaxSamples.
+// k >= n passes, since the driver accepts it without drawing. Callers
+// that want to refuse a run before queueing it use this.
+func CheckBudget(n, k int, eps float64, cfg Config) error {
+	if k >= n {
+		return nil
+	}
+	if est := ExpectedSamples(n, k, eps, cfg); est > cfg.maxSamples() {
+		return fmt.Errorf("core: nominal budget %d samples exceeds the guard %d; lower the constants (Config.Scale) or raise Config.MaxSamples", est, cfg.maxSamples())
+	}
+	return nil
 }
 
 // ExpectedSamples returns the nominal total sample budget of one Test

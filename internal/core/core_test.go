@@ -269,6 +269,26 @@ func TestScaleConfig(t *testing.T) {
 	}
 }
 
+// TestExpectedSamplesSaturates: as ε → 0 the stage budgets outgrow an
+// int. The estimate saturates instead of wrapping into a small or
+// negative count, so the budget guard refuses the run instead of
+// starting one it cannot size.
+func TestExpectedSamplesSaturates(t *testing.T) {
+	for _, eng := range Engines() {
+		cfg := PracticalConfig()
+		cfg.Engine = eng
+		for _, eps := range []float64{1e-6, 1e-9, 1e-20, 5e-324} {
+			if est := ExpectedSamples(16, 2, eps, cfg); est != math.MaxInt64 {
+				t.Fatalf("%s, eps=%g: ExpectedSamples = %d, want saturation at MaxInt64", eng, eps, est)
+			}
+			o := oracle.NewSampler(threeHistogram(16), rng.New(1))
+			if _, err := Test(o, rng.New(2), 2, eps, cfg); err == nil || o.Samples() != 0 {
+				t.Fatalf("%s, eps=%g: err = %v after %d draws, want the budget guard before any draw", eng, eps, err, o.Samples())
+			}
+		}
+	}
+}
+
 func TestExpectedSamplesGrowsWithN(t *testing.T) {
 	cfg := PracticalConfig()
 	a := ExpectedSamples(1<<10, 4, 0.5, cfg)

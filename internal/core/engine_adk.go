@@ -45,13 +45,13 @@ func (adkEngine) ExpectedSamples(n, k int, eps float64, cfg Config) int64 {
 	b := cfg.PartB(k, eps)
 	partM := learn.ApproxPartSamples(b, cfg.PartSampleC)
 	// ApproxPart yields K <= ~7b/3 + #heavy + 2 intervals.
-	K := int(7*b/3) + 2
+	K := int(learn.TotalSamples(learn.SampleCount(7*b/3), 2))
 	learnM := learn.LearnSamples(K, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
 	alpha := cfg.Alpha(eps)
 	mSieve := cfg.SieveMFactor * math.Sqrt(float64(n)) / (alpha * alpha)
 	sieveM := mSieve * float64(cfg.sieveReps(k)) * float64(cfg.SieveRounds(k)+1)
 	testM := cfg.Chi.SampleMean(n, cfg.TestEpsFactor*eps)
-	return int64(partM) + int64(learnM) + int64(sieveM) + int64(testM)
+	return learn.TotalSamples(int64(partM), int64(learnM), learn.SampleCount(sieveM), learn.SampleCount(testM))
 }
 
 // run implements Engine.

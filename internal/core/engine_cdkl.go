@@ -62,10 +62,10 @@ func (cdklEngine) Name() string { return "cdkl22" }
 func (cdklEngine) ExpectedSamples(n, k int, eps float64, cfg Config) int64 {
 	b := cfg.PartB(k, eps)
 	partM := learn.ApproxPartSamples(b, cfg.PartSampleC)
-	K := int(7*b/3) + 2
+	K := int(learn.TotalSamples(learn.SampleCount(7*b/3), 2))
 	learnM := learn.LearnSamples(K, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
 	flatM := cfg.Chi.SampleMean(n, cfg.flatEpsFactor()*eps)
-	return int64(partM) + int64(learnM) + int64(flatM)
+	return learn.TotalSamples(int64(partM), int64(learnM), learn.SampleCount(flatM))
 }
 
 // run implements Engine.

@@ -81,5 +81,5 @@ func TestKnownPartition(o oracle.Oracle, r *rng.RNG, part *intervals.Partition, 
 func KnownPartitionExpectedSamples(n, numIntervals int, eps float64, p KnownPartitionParams) int64 {
 	learnM := learn.LearnSamples(numIntervals, eps/p.LearnEpsDivisor, p.LearnSampleC)
 	testM := p.Chi.SampleMean(n, p.TestEpsFactor*eps)
-	return int64(learnM) + int64(math.Ceil(testM))
+	return learn.TotalSamples(int64(learnM), learn.SampleCount(math.Ceil(testM)))
 }

@@ -35,7 +35,31 @@ type PartResult struct {
 // ApproxPartSamples returns the sample budget C·b·log2(b+2) used by
 // ApproxPart.
 func ApproxPartSamples(b, c float64) int {
-	return int(math.Ceil(c * b * math.Log2(b+2)))
+	return int(SampleCount(math.Ceil(c * b * math.Log2(b+2))))
+}
+
+// SampleCount truncates a non-negative real sample budget to a count.
+// Every stage's budget grows without bound as ε → 0; one past
+// math.MaxInt64 saturates there instead of wrapping into a small or
+// negative count that a MaxSamples guard would let through.
+func SampleCount(x float64) int64 {
+	if x < math.MaxInt64 {
+		return int64(x)
+	}
+	return math.MaxInt64
+}
+
+// TotalSamples sums non-negative sample counts, saturating at
+// math.MaxInt64.
+func TotalSamples(counts ...int64) int64 {
+	var total int64
+	for _, c := range counts {
+		if c > math.MaxInt64-total {
+			return math.MaxInt64
+		}
+		total += c
+	}
+	return total
 }
 
 // ApproxPart draws O(b log b) samples and returns a partition of the
@@ -146,7 +170,7 @@ func LaplaceEstimate(counts *oracle.Counts, p *intervals.Partition) *dist.Piecew
 
 // LearnSamples returns the sample budget ⌈c·ℓ/ε²⌉ used by Learn.
 func LearnSamples(ell int, eps, c float64) int {
-	return int(math.Ceil(c * float64(ell) / (eps * eps)))
+	return int(SampleCount(math.Ceil(c * float64(ell) / (eps * eps))))
 }
 
 // Learn draws O(ℓ/ε²) samples and returns the Laplace estimate over p.

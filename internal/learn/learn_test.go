@@ -243,3 +243,36 @@ func TestBreakpointIntervals(t *testing.T) {
 		t.Fatalf("too many breakpoint intervals: %v", got)
 	}
 }
+
+// TestSampleBudgetsSaturate: budgets convert exactly below math.MaxInt64
+// and saturate at it above, never wrapping into a small or negative
+// count — the budget guards read these as ε → 0.
+func TestSampleBudgetsSaturate(t *testing.T) {
+	for _, tc := range []struct {
+		x    float64
+		want int64
+	}{
+		{0, 0}, {2.9, 2}, {1 << 52, 1 << 52}, {1e30, math.MaxInt64}, {math.Inf(1), math.MaxInt64}, {math.NaN(), math.MaxInt64},
+	} {
+		if got := SampleCount(tc.x); got != tc.want {
+			t.Fatalf("SampleCount(%g) = %d, want %d", tc.x, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		counts []int64
+		want   int64
+	}{
+		{nil, 0}, {[]int64{1, 2, 3}, 6}, {[]int64{math.MaxInt64 - 1, 1}, math.MaxInt64},
+		{[]int64{math.MaxInt64 - 1, 2, 5}, math.MaxInt64}, {[]int64{math.MaxInt64, math.MaxInt64}, math.MaxInt64},
+	} {
+		if got := TotalSamples(tc.counts...); got != tc.want {
+			t.Fatalf("TotalSamples(%v) = %d, want %d", tc.counts, got, tc.want)
+		}
+	}
+	if got := ApproxPartSamples(1e300, 8); got != math.MaxInt {
+		t.Fatalf("ApproxPartSamples(1e300) = %d, want saturation", got)
+	}
+	if got := LearnSamples(1<<40, 1e-300, 1); got != math.MaxInt {
+		t.Fatalf("LearnSamples at eps=1e-300 = %d, want saturation", got)
+	}
+}

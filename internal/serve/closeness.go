@@ -1,16 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"time"
 
 	"repro/histtest/client"
 	"repro/internal/closeness"
-	"repro/internal/oracle"
 	"repro/internal/rng"
 )
 
@@ -18,8 +16,9 @@ import (
 // sample sources — any mix of recorded datasets, inline specs,
 // registered samplers, and live stream windows — into two oracles and
 // runs the DKN'17 tester (internal/closeness) on the ordinary worker
-// pool. Resolution happens at admission like resolve: malformed pairs
-// are 4xx before they cost a queue slot, and everything derived here is
+// pool. Each side goes through resolveSource at admission, like a
+// /v1/test source: malformed pairs are 4xx before they cost a queue
+// slot, and everything derived here is
 // deterministic, so a served verdict is bit-identical to a direct
 // closeness.TestTwoSample call with the same inputs (pinned by the e2e
 // suite).
@@ -38,18 +37,6 @@ const (
 	closenessShuffleSaltB = 0x3c79ac492ba7b653
 )
 
-// closenessRun is the two-sample extension of a runSpec: side B's oracle
-// plus the tester config. runSpec.o is side A.
-type closenessRun struct {
-	oy  oracle.Oracle
-	cfg closeness.Config
-	// eventsA/eventsB are snapshotted stream-window sizes (0 for
-	// non-stream sides); datasetLenA/B the replay dataset sizes —
-	// error-reporting context, mirroring runSpec.datasetLen.
-	eventsA, eventsB         int64
-	datasetLenA, datasetLenB int
-}
-
 // Workloads names the request shapes the serving layer can run — the
 // serve-side analogue of core.Engines(). The conformance-list gate
 // (make conformance-list) diffs this registry against the Makefile and
@@ -57,198 +44,50 @@ type closenessRun struct {
 // conformance tier fails the PR loudly.
 func Workloads() []string { return []string{"histogram", "closeness"} }
 
-// resolveCloseness turns a wire closeness request into a runSpec whose
-// close field carries side B, validating everything the tester would
-// reject plus the serving-layer limits.
+// resolveCloseness turns a wire closeness request into a runSpec over
+// both sides: the scalar fields are the /v1/test ones, each side is
+// resolved like a /v1/test source, and side B's seeds carry the salts.
 func (s *Server) resolveCloseness(req *client.ClosenessRequest) (*runSpec, error) {
-	if req.K < 1 {
-		return nil, badReqf("k = %d must be positive", req.K)
-	}
-	if req.Eps <= 0 || req.Eps > 1 {
-		return nil, badReqf("eps = %v must be in (0, 1]", req.Eps)
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1 // histtest.Options.Seed semantics
-	}
-	samplerSeed := req.SamplerSeed
-	if samplerSeed == 0 {
-		samplerSeed = 1
-	}
-
-	cr := &closenessRun{}
-	sp := &runSpec{k: req.K, eps: req.Eps, seed: seed, close: cr}
-
-	oa, statsA, err := s.resolveSide("a", &req.A, req.N, samplerSeed, seed^streamShuffleSalt)
+	sp, t, err := s.newRunSpec(&client.TestRequest{
+		K: req.K, Eps: req.Eps, Seed: req.Seed, Scale: req.Scale, Workers: req.Workers,
+		CountStrategy: req.CountStrategy, TimeoutMS: req.TimeoutMS,
+	})
 	if err != nil {
 		return nil, err
 	}
-	ob, statsB, err := s.resolveSide("b", &req.B, req.N, samplerSeed^closenessSamplerSaltB, seed^closenessShuffleSaltB)
-	if err != nil {
+	if req.Reps < 0 {
+		return nil, badReqf("reps = %d must be positive", req.Reps)
+	}
+	cfg := closeness.DefaultConfig().Scale(t.scale)
+	cfg.Reps = cmp.Or(req.Reps, s.cfg.ClosenessReps)
+	cfg.Workers, cfg.MaxSamples, cfg.CountStrategy = t.workers, t.maxSamples, t.strategy
+	sp.pair = &cfg
+
+	samplerSeed := orOne(req.SamplerSeed)
+	if sp.a, err = s.resolveSource("side a: ", &req.A, req.N, samplerSeed, sp.seed^streamShuffleSalt); err != nil {
 		return nil, err
 	}
-	if oa.N() != ob.N() {
-		return nil, badReqf("sides over different domains (%d vs %d)", oa.N(), ob.N())
+	if sp.b, err = s.resolveSource("side b: ", &req.B, req.N, samplerSeed^closenessSamplerSaltB, sp.seed^closenessShuffleSaltB); err != nil {
+		return nil, err
 	}
-	sp.o = oa
-	sp.datasetLen = statsA.datasetLen
-	cr.oy = ob
-	cr.eventsA, cr.eventsB = statsA.events, statsB.events
-	cr.datasetLenA, cr.datasetLenB = statsA.datasetLen, statsB.datasetLen
-
-	cfg := closeness.DefaultConfig()
-	cfg.Reps = s.cfg.ClosenessReps
-	if req.Reps != 0 {
-		if req.Reps < 1 {
-			return nil, badReqf("reps = %d must be positive", req.Reps)
-		}
-		cfg.Reps = req.Reps
+	n := sp.a.o.N()
+	if n != sp.b.o.N() {
+		return nil, badReqf("sides over different domains (%d vs %d)", n, sp.b.o.N())
 	}
-	if req.Scale < 0 {
-		return nil, badReqf("scale = %v must not be negative", req.Scale)
-	}
-	if req.Scale > 0 && req.Scale != 1 {
-		cfg = cfg.Scale(req.Scale)
-	}
-	// Within-request fan-out: same clamp discipline as resolve — never
-	// verdict-changing, so clamped requests still match direct runs.
-	cfg.Workers = 1
-	if req.Workers > 1 {
-		cfg.Workers = min(req.Workers, s.cfg.SieveWorkers)
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
-	}
-	if s.cfg.MaxSamplesPerRun > 0 {
-		cfg.MaxSamples = s.cfg.MaxSamplesPerRun
-	}
-	cs, err := oracle.ParseCountStrategy(req.CountStrategy)
-	if err != nil {
+	if err := cfg.CheckBudget(n, req.K, req.Eps); err != nil {
 		return nil, badReqf("%v", err)
-	}
-	cfg.CountStrategy = cs
-	cr.cfg = cfg
-
-	switch {
-	case req.TimeoutMS < 0:
-		return nil, badReqf("timeout_ms = %d must not be negative", req.TimeoutMS)
-	case req.TimeoutMS == 0:
-		if s.cfg.DefaultTimeout > 0 {
-			sp.timeout = s.cfg.DefaultTimeout
-		}
-	default:
-		sp.timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
 	}
 	return sp, nil
 }
 
-// sideStats carries the per-side bookkeeping resolveSide extracts.
-type sideStats struct {
-	events     int64 // stream sides: snapshotted window size
-	datasetLen int   // dataset sides: recorded sample count
-}
-
-// resolveSide builds one side's oracle. samplerSeed seeds Spec/Sampler
-// forks; shuffleSeed seeds a stream side's snapshot replay shuffle (both
-// already carry the side's salt).
-func (s *Server) resolveSide(label string, side *client.ClosenessSide, n int, samplerSeed, shuffleSeed uint64) (oracle.Oracle, sideStats, error) {
-	var stats sideStats
-	sources := 0
-	if len(side.Samples) > 0 {
-		sources++
-	}
-	if side.Spec != nil {
-		sources++
-	}
-	if side.Sampler != "" {
-		sources++
-	}
-	if side.Stream != "" {
-		sources++
-	}
-	if sources != 1 {
-		return nil, stats, badReqf("side %s: exactly one of samples, spec, sampler, stream must be set (got %d)", label, sources)
-	}
-	switch {
-	case len(side.Samples) > 0:
-		if n < 1 {
-			return nil, stats, badReqf("side %s: n = %d must be positive with a samples dataset", label, n)
-		}
-		rep, err := oracle.NewReplay(n, side.Samples)
-		if err != nil {
-			return nil, stats, badReqf("side %s: invalid dataset: %v", label, err)
-		}
-		stats.datasetLen = len(side.Samples)
-		return rep, stats, nil
-	case side.Spec != nil:
-		proto, err := buildSampler(side.Spec)
-		if err != nil {
-			return nil, stats, fmt.Errorf("side %s: %w", label, err)
-		}
-		if n != 0 && n != proto.N() {
-			return nil, stats, badReqf("side %s: n = %d does not match the spec's domain %d", label, n, proto.N())
-		}
-		return proto.Fork(rng.New(samplerSeed)), stats, nil
-	case side.Sampler != "":
-		proto, ok := s.samplers.get(side.Sampler)
-		if !ok {
-			return nil, stats, &badRequest{code: client.ErrCodeUnknownSampler, msg: fmt.Sprintf("side %s: sampler %q is not registered", label, side.Sampler)}
-		}
-		if n != 0 && n != proto.N() {
-			return nil, stats, badReqf("side %s: n = %d does not match sampler %q's domain %d", label, n, side.Sampler, proto.N())
-		}
-		return proto.Fork(rng.New(samplerSeed)), stats, nil
-	default:
-		st, ok := s.streams.Get(side.Stream)
-		if !ok {
-			return nil, stats, &badRequest{code: client.ErrCodeNotFound, msg: fmt.Sprintf("side %s: stream %q is not registered", label, side.Stream)}
-		}
-		if n != 0 && n != st.Acc.N() {
-			return nil, stats, badReqf("side %s: n = %d does not match stream %q's domain %d", label, n, side.Stream, st.Acc.N())
-		}
-		counts, snap := st.Acc.Snapshot()
-		if snap.Events == 0 {
-			counts.Release()
-			return nil, stats, &badRequest{code: client.ErrCodeNeedMoreSamples, msg: fmt.Sprintf("side %s: stream %q's window is empty — ingest events before comparing", label, side.Stream)}
-		}
-		o := oracle.NewCountsReplay(counts, rng.New(shuffleSeed))
-		counts.Release()
-		st.Touch(time.Now(), 0)
-		stats.events = snap.Events
-		stats.datasetLen = int(snap.Events)
-		return o, stats, nil
-	}
-}
-
-// runCloseness executes a resolved two-sample run on the worker's pooled
-// Tester, mapping every outcome to a wire TestResult the job channel can
-// carry. A replay side running dry panics with oracle.ErrReplayExhausted,
-// translated to ErrCodeNeedMoreSamples exactly as runOne does for
-// one-sample replays.
-func runCloseness(ctx context.Context, ct *closeness.Tester, sp *runSpec, index int) (res client.TestResult) {
-	cr := sp.close
-	defer func() {
-		if r := recover(); r != nil {
-			if r == oracle.ErrReplayExhausted {
-				res = errorResult(index, client.ErrCodeNeedMoreSamples,
-					fmt.Errorf("a side's recorded window (%d/%d samples) exhausted after %d+%d draws; ingest more data or lower scale",
-						cr.datasetLenA, cr.datasetLenB, sp.o.Samples(), cr.oy.Samples()))
-				return
-			}
-			res = errorResult(index, client.ErrCodeInternal, fmt.Errorf("panic: %v", r))
-		}
-	}()
-
-	out, err := ct.Run(ctx, sp.o, cr.oy, rng.New(sp.seed), sp.k, sp.eps, cr.cfg)
+// runCloseness runs a resolved two-sample request on the worker's pooled
+// Tester and converts its result to the wire form.
+func runCloseness(ctx context.Context, ct *closeness.Tester, sp *runSpec) (client.TestResult, error) {
+	out, err := ct.Run(ctx, sp.a.o, sp.b.o, rng.New(sp.seed), sp.k, sp.eps, *sp.pair)
 	if err != nil {
-		code := client.ErrCodeInternal
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			code = client.ErrCodeCanceled
-		}
-		return errorResult(index, code, err)
+		return client.TestResult{}, err
 	}
 	return client.TestResult{
-		Index:       index,
 		Accept:      out.Accept,
 		SamplesUsed: out.SamplesX + out.SamplesY,
 		Closeness: &client.ClosenessVerdict{
@@ -266,7 +105,7 @@ func runCloseness(ctx context.Context, ct *closeness.Tester, sp *runSpec, index 
 			SamplesA:         out.SamplesX,
 			SamplesB:         out.SamplesY,
 		},
-	}
+	}, nil
 }
 
 // handleCloseness serves POST /v1/closeness: resolve the pair, admit,
@@ -289,9 +128,8 @@ func (s *Server) handleCloseness(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := await(j)
-	// Stream sides recorded in the request keep their freshness: touch
-	// already happened at snapshot; the verdict is not folded into the
-	// streams' last-test records (those describe one-sample self-tests).
+	// The verdict is not folded into a stream side's last-test record:
+	// that record describes the stream's own one-sample test.
 	if res.Err != "" {
 		s.writeError(w, res.Code, errors.New(res.Err))
 		return
@@ -299,8 +137,8 @@ func (s *Server) handleCloseness(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(client.ClosenessResponse{
 		ClosenessVerdict: *res.Closeness,
-		EventsA:          spec.close.eventsA,
-		EventsB:          spec.close.eventsB,
+		EventsA:          spec.a.window.Events,
+		EventsB:          spec.b.window.Events,
 		ElapsedMS:        res.ElapsedMS,
 	})
 }

@@ -283,6 +283,7 @@ func TestClosenessValidation(t *testing.T) {
 	}
 
 	okA := client.ClosenessSide{Spec: ptr(closeSpecA())}
+	huge := client.ClosenessSide{Spec: &client.HistogramSpec{N: 1 << 30, Masses: []float64{1}}}
 	cases := []struct {
 		name     string
 		req      client.ClosenessRequest
@@ -301,6 +302,7 @@ func TestClosenessValidation(t *testing.T) {
 		{"negative reps", client.ClosenessRequest{A: okA, B: okA, K: 4, Eps: 0.4, Reps: -2}, http.StatusBadRequest, client.ErrCodeBadRequest},
 		{"negative timeout", client.ClosenessRequest{A: okA, B: okA, K: 4, Eps: 0.4, TimeoutMS: -1}, http.StatusBadRequest, client.ErrCodeBadRequest},
 		{"bad count strategy", client.ClosenessRequest{A: okA, B: okA, K: 4, Eps: 0.4, CountStrategy: "psychic"}, http.StatusBadRequest, client.ErrCodeBadRequest},
+		{"over budget", client.ClosenessRequest{A: huge, B: huge, K: 64, Eps: 0.001}, http.StatusBadRequest, client.ErrCodeBadRequest},
 	}
 	for _, tc := range cases {
 		_, err := c.Closeness(ctx, tc.req)
@@ -387,5 +389,42 @@ func TestClosenessVerdictOnWire(t *testing.T) {
 		if _, ok := raw[field]; !ok {
 			t.Fatalf("response missing wire field %q: %v", field, raw)
 		}
+	}
+}
+
+// TestClosenessStreamSideIsNotAnIngest: comparing against a stream
+// reads its window without counting an ingest batch — after one ingest
+// and three closeness requests the stream reports one batch.
+func TestClosenessStreamSideIsNotAnIngest(t *testing.T) {
+	_, _, c := newTestServer(t, noJanitor(serve.Config{Workers: 1}))
+	ctx := context.Background()
+
+	info, err := c.CreateStream(ctx, client.StreamSpec{N: 16, K: 16, Eps: 0.5})
+	if err != nil {
+		t.Fatalf("creating stream: %v", err)
+	}
+	events := make([]int, 4096)
+	for i := range events {
+		events[i] = i % 16
+	}
+	if _, err := c.IngestEvents(ctx, info.ID, events); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	req := client.ClosenessRequest{
+		A: client.ClosenessSide{Stream: info.ID},
+		B: client.ClosenessSide{Spec: &client.HistogramSpec{N: 16, Masses: []float64{1}}},
+		K: 16, Eps: 0.5,
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Closeness(ctx, req); err != nil {
+			t.Fatalf("closeness request %d: %v", i, err)
+		}
+	}
+	got, err := c.GetStream(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("get stream: %v", err)
+	}
+	if got.Batches != 1 {
+		t.Fatalf("batches = %d after one ingest and three closeness requests, want 1", got.Batches)
 	}
 }

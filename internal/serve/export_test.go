@@ -8,7 +8,7 @@ const StreamShuffleSalt = streamShuffleSalt
 
 // ClosenessSamplerSaltB and ClosenessShuffleSaltB expose the side-B seed
 // salts of /v1/closeness: the bit-identity suite reconstructs both
-// sides' oracles exactly as resolveSide does.
+// sides' oracles exactly as resolveSource does.
 const (
 	ClosenessSamplerSaltB = closenessSamplerSaltB
 	ClosenessShuffleSaltB = closenessShuffleSaltB

@@ -103,7 +103,7 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, err)
 		return
 	}
-	spec, err := s.resolve(&req)
+	spec, err := s.resolve(&req, s.testSource(&req))
 	if err != nil {
 		s.failRequest(w, err)
 		return
@@ -158,7 +158,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	specs := make([]*runSpec, len(batch.Requests))
 	for i := range batch.Requests {
-		sp, err := s.resolve(&batch.Requests[i])
+		sp, err := s.resolve(&batch.Requests[i], s.testSource(&batch.Requests[i]))
 		if err != nil {
 			s.failRequest(w, fmt.Errorf("request %d: %w", i, err))
 			return

@@ -568,6 +568,9 @@ func TestBadRequests(t *testing.T) {
 		{"bad count strategy", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 0.5, CountStrategy: "fast"}, 400, client.ErrCodeBadRequest},
 		{"unknown engine", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 0.5, Engine: "adk2"}, 400, client.ErrCodeBadRequest},
 		{"engine case-sensitive", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 0.5, Engine: "ADK"}, 400, client.ErrCodeBadRequest},
+		{"negative scale", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 0.5, Scale: -1}, 400, client.ErrCodeBadRequest},
+		{"over budget", client.TestRequest{Spec: &client.HistogramSpec{N: 1 << 30, Masses: []float64{1}}, K: 2, Eps: 0.01}, 400, client.ErrCodeBadRequest},
+		{"vanishing eps", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 1e-20}, 400, client.ErrCodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -77,9 +77,10 @@ type Config struct {
 	// process-wide obs.Expvar sink is always attached alongside it, so
 	// /debug/vars carries live per-stage counters either way.
 	Observer obs.Observer
-	// MaxSamplesPerRun overrides core.Config.MaxSamples, guarding the
-	// service against requests whose nominal budget is astronomical.
-	// 0 keeps the core default (2³¹).
+	// MaxSamplesPerRun overrides the testers' MaxSamples, guarding the
+	// service against requests whose nominal budget is astronomical:
+	// they are refused with 400 at admission. 0 keeps the testers'
+	// default (2³¹).
 	MaxSamplesPerRun int64
 	// ClosenessReps is the default majority-amplification replicate
 	// count of /v1/closeness runs (requests may override per call).
@@ -143,6 +144,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IngestQueue <= 0 {
 		c.IngestQueue = 2 * c.Workers
+	}
+	if c.MaxSamplesPerRun <= 0 {
+		c.MaxSamplesPerRun = 1 << 31 // the default guard of both testers
 	}
 	if c.ClosenessReps == 0 {
 		c.ClosenessReps = 5
@@ -417,8 +421,8 @@ func (s *Server) worker() {
 }
 
 // execute runs one job on the given arena, mapping every outcome —
-// verdict, validation failure, replay exhaustion, cancellation — to a
-// wire TestResult.
+// verdict, replay exhaustion, cancellation, failure — to a wire
+// TestResult. It is the one place a run's failure becomes a wire code.
 func (s *Server) execute(arena *core.Arena, ct *closeness.Tester, j *job) (res client.TestResult) {
 	start := time.Now()
 	defer func() {
@@ -440,15 +444,41 @@ func (s *Server) execute(arena *core.Arena, ct *closeness.Tester, j *job) (res c
 	// The run's context merges the job's (client disconnect, per-request
 	// deadline — started at admission, see enqueue) with the server's
 	// hard-stop (drain deadline): whichever fires first aborts the run at
-	// core.TestContext's next cancellation point.
+	// the tester's next cancellation point.
 	defer j.cancel()
 	mctx, mcancel := mergeContexts(j.ctx, s.hardStop)
 	defer mcancel()
 
-	if j.spec.close != nil {
-		return runCloseness(mctx, ct, j.spec, j.index)
+	// A replay source running out of recorded samples panics with
+	// oracle.ErrReplayExhausted; that — and only that — panic is
+	// ErrCodeNeedMoreSamples, mirroring histtest.TestSamples. Any other
+	// panic is a server bug, contained as ErrCodeInternal rather than
+	// killing the pool (the oracle layer's releaseOnPanic has already
+	// released a panicking batch's pooled counts).
+	defer func() {
+		if r := recover(); r != nil {
+			if r == oracle.ErrReplayExhausted {
+				res = errorResult(j.index, client.ErrCodeNeedMoreSamples, j.spec.exhausted())
+				return
+			}
+			res = errorResult(j.index, client.ErrCodeInternal, fmt.Errorf("panic: %v", r))
+		}
+	}()
+
+	var err error
+	if j.spec.pair != nil {
+		res, err = runCloseness(mctx, ct, j.spec)
+	} else {
+		res, err = runOne(mctx, arena, j.spec, s.cfg.Observer)
 	}
-	return runOne(mctx, arena, j.spec, j.index, s.cfg.Observer)
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return errorResult(j.index, client.ErrCodeCanceled, err)
+	case err != nil:
+		return errorResult(j.index, client.ErrCodeInternal, err)
+	}
+	res.Index = j.index
+	return res
 }
 
 // mergeContexts returns a context cancelled when either parent is.
@@ -458,40 +488,19 @@ func mergeContexts(a, b context.Context) (context.Context, context.CancelFunc) {
 	return ctx, func() { stop(); cancel() }
 }
 
-// runOne executes the resolved request on the arena. A replay oracle
-// running out of recorded samples panics with oracle.ErrReplayExhausted;
-// that — and only that — panic is translated to ErrCodeNeedMoreSamples,
-// mirroring histtest.TestSamples. Any other panic is a server bug and is
-// contained as ErrCodeInternal rather than killing the pool (the pooled
-// count buffers of a panicking batch are already released by the oracle
-// layer's releaseOnPanic).
-func runOne(ctx context.Context, arena *core.Arena, sp *runSpec, index int, ob obs.Observer) (res client.TestResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r == oracle.ErrReplayExhausted {
-				res = errorResult(index, client.ErrCodeNeedMoreSamples,
-					fmt.Errorf("dataset of %d samples exhausted after %d draws; provide more data or lower scale", sp.datasetLen, sp.o.Samples()))
-				return
-			}
-			res = errorResult(index, client.ErrCodeInternal, fmt.Errorf("panic: %v", r))
-		}
-	}()
-
+// runOne runs a resolved one-sample request on the worker's arena and
+// converts its result to the wire form.
+func runOne(ctx context.Context, arena *core.Arena, sp *runSpec, ob obs.Observer) (client.TestResult, error) {
 	cfg := sp.cfg
 	cfg.Observer = ob
-	result, err := arena.TestContext(ctx, sp.o, rng.New(sp.seed), sp.k, sp.eps, cfg)
+	result, err := arena.TestContext(ctx, sp.a.o, rng.New(sp.seed), sp.k, sp.eps, cfg)
 	if err != nil {
-		code := client.ErrCodeInternal
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			code = client.ErrCodeCanceled
-		}
-		return errorResult(index, code, err)
+		return client.TestResult{}, err
 	}
 	tr := result.Trace
 	return client.TestResult{
-		Index:       index,
 		Accept:      result.Accept,
-		SamplesUsed: sp.o.Samples(),
+		SamplesUsed: sp.a.o.Samples(),
 		Stage:       tr.RejectStage,
 		Detail:      tr.RejectReason,
 		Trace: &client.Trace{
@@ -513,7 +522,7 @@ func runOne(ctx context.Context, arena *core.Arena, sp *runSpec, index int, ob o
 			RejectStage:      tr.RejectStage,
 			RejectReason:     tr.RejectReason,
 		},
-	}
+	}, nil
 }
 
 // errorResult wraps a failure as a wire result.

@@ -1,36 +1,58 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/histtest/client"
+	"repro/internal/closeness"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/intervals"
 	"repro/internal/oracle"
 	"repro/internal/rng"
+	"repro/internal/stream"
 )
 
-// runSpec is a TestRequest resolved into the concrete inputs of one
-// core.TestContext call. Resolution happens on the HTTP goroutine at
-// admission time, so malformed requests are rejected with 4xx before
-// they cost a queue slot; everything here is deterministic, making a
-// served run bit-identical to a direct call with the same inputs.
+// runSpec is a request resolved into the concrete inputs of one tester
+// run. Resolution happens on the HTTP goroutine at admission time, so
+// malformed requests are rejected with 4xx before they cost a queue
+// slot; everything here is deterministic, making a served run
+// bit-identical to a direct call with the same inputs.
 type runSpec struct {
-	o          oracle.Oracle
-	k          int
-	eps        float64
-	seed       uint64
-	cfg        core.Config
-	timeout    time.Duration
-	datasetLen int // replay requests: the dataset size (error reporting)
+	k       int
+	eps     float64
+	seed    uint64
+	timeout time.Duration
 
-	// close, when non-nil, marks a two-sample closeness run: o is side A
-	// and close carries side B plus the closeness config (cfg above is
-	// unused then). See closeness.go.
-	close *closenessRun
+	// a is the run's sample source. pair, when non-nil, marks a
+	// two-sample closeness run over a and b, which runs under pair
+	// instead of cfg. See closeness.go.
+	a, b source
+	cfg  core.Config
+	pair *closeness.Config
+}
+
+// source is one resolved sample source: the oracle a run draws from,
+// plus the sizes error messages and stream responses report.
+type source struct {
+	o oracle.Oracle
+	// size is the recorded sample count of a dataset or window (0 for
+	// samplers), the context of a replay-exhausted error.
+	size int
+	// window describes the snapshot a stream source replays.
+	window stream.SnapshotStats
+}
+
+// exhausted explains a replay source that ran dry mid-run.
+func (sp *runSpec) exhausted() error {
+	if sp.pair == nil {
+		return fmt.Errorf("dataset of %d samples exhausted after %d draws; provide more data or lower scale", sp.a.size, sp.a.o.Samples())
+	}
+	return fmt.Errorf("a side's recorded window (%d/%d samples) exhausted after %d+%d draws; ingest more data or lower scale",
+		sp.a.size, sp.b.size, sp.a.o.Samples(), sp.b.o.Samples())
 }
 
 // badRequest is a resolution failure carrying its wire error code.
@@ -45,120 +67,177 @@ func badReqf(format string, args ...any) error {
 	return &badRequest{code: client.ErrCodeBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// resolve turns a wire request into a runSpec, validating everything the
-// core tester would reject — plus the serving-layer limits (deadline
-// clamp, sieve fan-out cap).
-func (s *Server) resolve(req *client.TestRequest) (*runSpec, error) {
-	sources := 0
-	if len(req.Samples) > 0 {
-		sources++
-	}
-	if req.Spec != nil {
-		sources++
-	}
-	if req.Sampler != "" {
-		sources++
-	}
-	if sources != 1 {
-		return nil, badReqf("exactly one of samples, spec, sampler must be set (got %d)", sources)
-	}
-	if req.K < 1 {
-		return nil, badReqf("k = %d must be positive", req.K)
-	}
-	if req.Eps <= 0 || req.Eps > 1 {
-		return nil, badReqf("eps = %v must be in (0, 1]", req.Eps)
-	}
+// orOne maps a zero seed to 1, the histtest.Options.Seed semantics every
+// wire seed follows.
+func orOne(seed uint64) uint64 { return max(seed, 1) }
 
-	sp := &runSpec{k: req.K, eps: req.Eps, seed: req.Seed}
-	if sp.seed == 0 {
-		sp.seed = 1 // histtest.Options.Seed semantics
-	}
+// tuning holds what every tester config takes from a request and the
+// deployment alike; newRunSpec resolves it once per request.
+type tuning struct {
+	scale      float64
+	workers    int
+	maxSamples int64
+	strategy   oracle.CountStrategy
+}
 
-	samplerSeed := req.SamplerSeed
-	if samplerSeed == 0 {
-		samplerSeed = 1
-	}
-
+// newRunSpec validates the scalar fields every tester request carries —
+// /v1/closeness and stream tests present theirs as a TestRequest — and
+// applies the serving rules all endpoints share. It runs before any
+// source is resolved, so a malformed request costs no alias-table build
+// and no window snapshot.
+func (s *Server) newRunSpec(req *client.TestRequest) (*runSpec, tuning, error) {
+	var t tuning
 	switch {
-	case len(req.Samples) > 0:
-		if req.N < 1 {
-			return nil, badReqf("n = %d must be positive with a samples dataset", req.N)
-		}
-		rep, err := oracle.NewReplay(req.N, req.Samples)
-		if err != nil {
-			return nil, badReqf("invalid dataset: %v", err)
-		}
-		sp.o = rep
-		sp.datasetLen = len(req.Samples)
-	case req.Spec != nil:
-		proto, err := buildSampler(req.Spec)
-		if err != nil {
-			return nil, err
-		}
-		if req.N != 0 && req.N != proto.N() {
-			return nil, badReqf("n = %d does not match the spec's domain %d", req.N, proto.N())
-		}
-		sp.o = proto.Fork(rng.New(samplerSeed))
-	default:
-		proto, ok := s.samplers.get(req.Sampler)
-		if !ok {
-			return nil, &badRequest{code: client.ErrCodeUnknownSampler, msg: fmt.Sprintf("sampler %q is not registered", req.Sampler)}
-		}
-		if req.N != 0 && req.N != proto.N() {
-			return nil, badReqf("n = %d does not match sampler %q's domain %d", req.N, req.Sampler, proto.N())
-		}
-		sp.o = proto.Fork(rng.New(samplerSeed))
+	case req.K < 1:
+		return nil, t, badReqf("k = %d must be positive", req.K)
+	case req.Eps <= 0 || req.Eps > 1:
+		return nil, t, badReqf("eps = %v must be in (0, 1]", req.Eps)
+	case req.Scale < 0:
+		return nil, t, badReqf("scale = %v must not be negative", req.Scale)
+	case req.TimeoutMS < 0:
+		return nil, t, badReqf("timeout_ms = %d must not be negative", req.TimeoutMS)
 	}
+	cs, err := oracle.ParseCountStrategy(req.CountStrategy)
+	if err != nil {
+		return nil, t, badReqf("%v", err)
+	}
+	t = tuning{
+		scale: cmp.Or(req.Scale, 1),
+		// Workers is a pure throughput knob, so clamping the within-run
+		// fan-out to the deployment's cap never changes a verdict:
+		// clamped runs still match direct ones.
+		workers:    max(1, min(req.Workers, s.cfg.SieveWorkers)),
+		maxSamples: s.cfg.MaxSamplesPerRun,
+		strategy:   cs,
+	}
+	sp := &runSpec{k: req.K, eps: req.Eps, seed: orOne(req.Seed), timeout: s.cfg.DefaultTimeout}
+	// The deadline counts from admission (see enqueue): the request's
+	// own, clamped to MaxTimeout, or else the server default, which is
+	// no deadline at all when negative.
+	if req.TimeoutMS > 0 {
+		sp.timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
+	}
+	return sp, t, nil
+}
 
+// resolve turns a one-sample tester request into a runSpec. open
+// resolves its sample source once the scalars are valid, given the
+// shuffle seed a stream window replays under: /v1/test and
+// /v1/test/stream open the source the request names (testSource), a
+// stream test the window of the stream it holds.
+func (s *Server) resolve(req *client.TestRequest, open func(shuffleSeed uint64) (source, error)) (*runSpec, error) {
+	sp, t, err := s.newRunSpec(req)
+	if err != nil {
+		return nil, err
+	}
+	// An unknown engine is a 400 here, never a silent fallback to the
+	// default (core.TestContext would refuse it too, but only after
+	// admission).
+	if _, err := core.EngineFor(req.Engine); err != nil {
+		return nil, badReqf("%v", err)
+	}
 	cfg := core.PracticalConfig()
 	if req.Paper {
 		cfg = core.PaperConfig()
 	}
-	if req.Scale > 0 && req.Scale != 1 {
-		cfg = cfg.Scale(req.Scale)
-	}
-	// Within-request sieve fan-out: serial unless the deployment allows
-	// more. Clamping never changes the verdict (Workers is a pure
-	// throughput knob), so clamped requests still match direct runs.
-	cfg.Workers = 1
-	if req.Workers > 1 {
-		cfg.Workers = min(req.Workers, s.cfg.SieveWorkers)
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
-	}
-	if s.cfg.MaxSamplesPerRun > 0 {
-		cfg.MaxSamples = s.cfg.MaxSamplesPerRun
-	}
-	cs, err := oracle.ParseCountStrategy(req.CountStrategy)
-	if err != nil {
-		return nil, badReqf("%v", err)
-	}
-	// Replay oracles lack the CountDrawer capability, so a closed-form
-	// request over a dataset falls back to the exact path inside the
-	// tester (oracle.EffectiveStrategy) — no error, same verdict law.
-	cfg.CountStrategy = cs
-	// Engine names resolve here at admission time so an unknown engine
-	// is a 400 before it costs a queue slot — and never a silent
-	// fallback to the default (core.TestContext would also refuse it,
-	// but only after admission).
-	if _, err := core.EngineFor(req.Engine); err != nil {
-		return nil, badReqf("%v", err)
-	}
-	cfg.Engine = req.Engine
+	cfg = cfg.Scale(t.scale)
+	// A closed-form request over a replay falls back to the exact path
+	// inside the tester (oracle.EffectiveStrategy): no error, same law.
+	cfg.Workers, cfg.MaxSamples, cfg.CountStrategy, cfg.Engine = t.workers, t.maxSamples, t.strategy, req.Engine
 	sp.cfg = cfg
 
-	switch {
-	case req.TimeoutMS < 0:
-		return nil, badReqf("timeout_ms = %d must not be negative", req.TimeoutMS)
-	case req.TimeoutMS == 0:
-		if s.cfg.DefaultTimeout > 0 {
-			sp.timeout = s.cfg.DefaultTimeout
-		}
-	default:
-		sp.timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
+	if sp.a, err = open(sp.seed ^ streamShuffleSalt); err != nil {
+		return nil, err
+	}
+	if err := core.CheckBudget(sp.a.o.N(), req.K, req.Eps, cfg); err != nil {
+		return nil, badReqf("%v", err)
 	}
 	return sp, nil
+}
+
+// testSource opens the sample source a /v1/test request names.
+func (s *Server) testSource(req *client.TestRequest) func(uint64) (source, error) {
+	return func(shuffleSeed uint64) (source, error) {
+		src := client.ClosenessSide{Samples: req.Samples, Spec: req.Spec, Sampler: req.Sampler}
+		return s.resolveSource("", &src, req.N, orOne(req.SamplerSeed), shuffleSeed)
+	}
+}
+
+// resolveSource is the one place a wire sample source becomes an
+// oracle. src names exactly one of four kinds:
+//
+//	samples  a recorded dataset, replayed without replacement (n required)
+//	spec     an inline histogram: a fresh alias table forked with samplerSeed
+//	sampler  a registered spec: its shared alias table forked with samplerSeed
+//	stream   a live window, snapshotted and replayed in an order drawn from shuffleSeed
+//
+// A non-zero n must equal the source's domain. label ("side a: ")
+// prefixes the error messages of a request that names two sources.
+func (s *Server) resolveSource(label string, src *client.ClosenessSide, n int, samplerSeed, shuffleSeed uint64) (source, error) {
+	fail := func(code, format string, args ...any) (source, error) {
+		return source{}, &badRequest{code: code, msg: label + fmt.Sprintf(format, args...)}
+	}
+	kinds := 0
+	for _, set := range [...]bool{len(src.Samples) > 0, src.Spec != nil, src.Sampler != "", src.Stream != ""} {
+		if set {
+			kinds++
+		}
+	}
+	if kinds != 1 {
+		return fail(client.ErrCodeBadRequest, "exactly one sample source must be set (got %d)", kinds)
+	}
+
+	var proto *oracle.Sampler
+	name := "the spec"
+	switch {
+	case len(src.Samples) > 0:
+		if n < 1 {
+			return fail(client.ErrCodeBadRequest, "n = %d must be positive with a samples dataset", n)
+		}
+		rep, err := oracle.NewReplay(n, src.Samples)
+		if err != nil {
+			return fail(client.ErrCodeBadRequest, "invalid dataset: %v", err)
+		}
+		return source{o: rep, size: len(src.Samples)}, nil
+	case src.Spec != nil:
+		var err error
+		if proto, err = buildSampler(src.Spec); err != nil {
+			return source{}, fmt.Errorf("%s%w", label, err)
+		}
+	case src.Sampler != "":
+		var ok bool
+		if proto, ok = s.samplers.get(src.Sampler); !ok {
+			return fail(client.ErrCodeUnknownSampler, "sampler %q is not registered", src.Sampler)
+		}
+		name = fmt.Sprintf("sampler %q", src.Sampler)
+	default:
+		st, ok := s.streams.Get(src.Stream)
+		if !ok {
+			return fail(client.ErrCodeNotFound, "stream %q is not registered", src.Stream)
+		}
+		if n != 0 && n != st.Acc.N() {
+			return fail(client.ErrCodeBadRequest, "n = %d does not match stream %q's domain %d", n, src.Stream, st.Acc.N())
+		}
+		return streamSource(label, st, shuffleSeed)
+	}
+	if n != 0 && n != proto.N() {
+		return fail(client.ErrCodeBadRequest, "n = %d does not match %s's domain %d", n, name, proto.N())
+	}
+	return source{o: proto.Fork(rng.New(samplerSeed))}, nil
+}
+
+// streamSource snapshots st's live window into a replay shuffled by
+// shuffleSeed. It reads the stream its caller holds without looking it
+// up, so a janitor re-test leaves the stream's idle clock alone.
+func streamSource(label string, st *stream.Stream, shuffleSeed uint64) (source, error) {
+	// NewCountsReplay copies what it needs, so the pooled snapshot goes
+	// back to the pool on return.
+	counts, snap := st.Acc.Snapshot()
+	defer counts.Release()
+	if snap.Events == 0 {
+		return source{}, &badRequest{code: client.ErrCodeNeedMoreSamples, msg: fmt.Sprintf("%sstream %q's window is empty; ingest events before testing", label, st.ID)}
+	}
+	return source{o: oracle.NewCountsReplay(counts, rng.New(shuffleSeed)), size: int(snap.Events), window: snap}, nil
 }
 
 // buildSampler validates a wire spec and builds the alias-table sampler

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,10 +12,7 @@ import (
 	"time"
 
 	"repro/histtest/client"
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/oracle"
-	"repro/internal/rng"
 	"repro/internal/stream"
 )
 
@@ -36,7 +34,7 @@ import (
 // A janitor goroutine drives the time-based behavior: TTL eviction of
 // idle streams, sliding-window rotation, and the periodic re-test
 // scheduler (which submits through the same admission path and simply
-// skips a beat when the queue is full).
+// skips a beat when the queue is full or the window is empty).
 
 // maxStreamDomain bounds a stream's domain size: large enough for any
 // realistic histogram domain, small enough that a dense accumulator
@@ -115,10 +113,6 @@ func streamConfigFromSpec(spec *client.StreamSpec) (stream.StreamConfig, error) 
 	if spec.WindowMS == 0 && gens > 1 {
 		return zero, badReqf("generations = %d requires window_ms (no rotation clock without a window)", gens)
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1 // histtest.Options.Seed semantics
-	}
 	preset := ""
 	if spec.Paper {
 		preset = "paper"
@@ -135,7 +129,7 @@ func streamConfigFromSpec(spec *client.StreamSpec) (stream.StreamConfig, error) 
 			K:    spec.K,
 			Eps:  spec.Eps,
 			Cfg:  preset,
-			Seed: seed,
+			Seed: orOne(spec.Seed),
 		},
 		Window:      time.Duration(spec.WindowMS) * time.Millisecond,
 		RetestEvery: time.Duration(spec.RetestEveryMS) * time.Millisecond,
@@ -229,8 +223,9 @@ func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 
 // handleStreamTest serves POST /v1/streams/{id}/test: snapshot the live
 // window into a pooled Counts, run the tester over its replay, reply
-// with the verdict. The run rides the ordinary worker-pool admission.
-// An empty body is a plain "test now with the stream's own parameters".
+// with the verdict. The run rides the ordinary worker-pool admission;
+// an empty window is a 422 before it. An empty body is a plain "test
+// now with the stream's own parameters".
 func (s *Server) handleStreamTest(w http.ResponseWriter, r *http.Request) {
 	vars().requests.Add(1)
 	st, ok := s.streams.Get(r.PathValue("id"))
@@ -245,11 +240,11 @@ func (s *Server) handleStreamTest(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, badReqf("decoding request: %v", err))
 		return
 	}
-	if req.TimeoutMS < 0 {
-		s.failRequest(w, badReqf("timeout_ms = %d must not be negative", req.TimeoutMS))
+	sp, err := s.resolveStreamTest(st, &req)
+	if err != nil {
+		s.failRequest(w, err)
 		return
 	}
-	sp, snap, seed := s.buildStreamRunSpec(st, req.Seed, req.Workers, req.TimeoutMS)
 	j, err := s.submit(r.Context(), sp, 0)
 	if err != nil {
 		s.writeError(w, admitErr(err), err)
@@ -257,7 +252,7 @@ func (s *Server) handleStreamTest(w http.ResponseWriter, r *http.Request) {
 	}
 	res := await(j)
 	obs.Ingest().Tests.Add(1)
-	st.RecordTest(testRecord(res, snap, seed))
+	st.RecordTest(testRecord(res, sp))
 	if res.Err != "" {
 		s.writeError(w, res.Code, errors.New(res.Err))
 		return
@@ -266,67 +261,32 @@ func (s *Server) handleStreamTest(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(client.StreamTestResponse{
 		TestResult: res,
 		StreamID:   st.ID,
-		Events:     snap.Events,
-		Distinct:   snap.Distinct,
-		Seed:       seed,
+		Events:     sp.a.window.Events,
+		Distinct:   sp.a.window.Distinct,
+		Seed:       sp.seed,
 	})
 }
 
-// buildStreamRunSpec snapshots the stream's window and resolves the run
-// exactly as resolve does for wire requests: same preset, clamp, and
-// timeout rules, so a stream test is an ordinary run whose oracle
-// happens to replay accumulated counts. The pooled snapshot Counts is
-// released before returning — NewCountsReplay copies what it needs.
-func (s *Server) buildStreamRunSpec(st *stream.Stream, seedOverride uint64, workers int, timeoutMS int64) (*runSpec, stream.SnapshotStats, uint64) {
-	params := st.Cfg.Params
-	seed := seedOverride
-	if seed == 0 {
-		seed = params.Seed
-	}
-	counts, snap := st.Acc.Snapshot()
-	o := oracle.NewCountsReplay(counts, rng.New(seed^streamShuffleSalt))
-	counts.Release()
-
-	cfg := core.PracticalConfig()
-	if params.Cfg == "paper" {
-		cfg = core.PaperConfig()
-	}
-	cfg.Workers = 1
-	if workers > 1 {
-		cfg.Workers = min(workers, s.cfg.SieveWorkers)
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
-	}
-	if s.cfg.MaxSamplesPerRun > 0 {
-		cfg.MaxSamples = s.cfg.MaxSamplesPerRun
-	}
-	sp := &runSpec{
-		o:          o,
-		k:          params.K,
-		eps:        params.Eps,
-		seed:       seed,
-		cfg:        cfg,
-		datasetLen: int(snap.Events),
-	}
-	switch {
-	case timeoutMS == 0:
-		if s.cfg.DefaultTimeout > 0 {
-			sp.timeout = s.cfg.DefaultTimeout
-		}
-	default:
-		sp.timeout = min(time.Duration(timeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
-	}
-	return sp, snap, seed
+// resolveStreamTest resolves a test of the stream as the /v1/test
+// request its registration describes (k, ε, preset, seed), with the live
+// window as the source. req may override the seed and sets the fan-out
+// and deadline.
+func (s *Server) resolveStreamTest(st *stream.Stream, req *client.StreamTestRequest) (*runSpec, error) {
+	p := st.Cfg.Params
+	return s.resolve(&client.TestRequest{
+		K: p.K, Eps: p.Eps, Paper: p.Cfg == "paper", Seed: cmp.Or(req.Seed, p.Seed),
+		Workers: req.Workers, TimeoutMS: req.TimeoutMS,
+	}, func(shuffleSeed uint64) (source, error) { return streamSource("", st, shuffleSeed) })
 }
 
-// testRecord condenses a run result into the stream's last-test record.
-func testRecord(res client.TestResult, snap stream.SnapshotStats, seed uint64) stream.TestRecord {
+// testRecord condenses a stream test's result into the stream's
+// last-test record.
+func testRecord(res client.TestResult, sp *runSpec) stream.TestRecord {
 	return stream.TestRecord{
 		At:       time.Now(),
-		Seed:     seed,
-		Events:   snap.Events,
-		Distinct: snap.Distinct,
+		Seed:     sp.seed,
+		Events:   sp.a.window.Events,
+		Distinct: sp.a.window.Distinct,
 		Accept:   res.Accept,
 		Stage:    res.Stage,
 		Err:      res.Err,
@@ -405,7 +365,18 @@ func (s *Server) janitorTick(now time.Time) {
 // scheduleRetest submits one automatic re-test for the stream. The
 // verdict lands in the stream's last-test record; nobody blocks on it.
 func (s *Server) scheduleRetest(st *stream.Stream) {
-	sp, snap, seed := s.buildStreamRunSpec(st, 0, 0, 0)
+	sp, err := s.resolveStreamTest(st, &client.StreamTestRequest{})
+	if err != nil {
+		// An empty window skips this beat, and the clock fires again: the
+		// record keeps the last real verdict. Any other refusal (a budget
+		// past the guard) is the answer every beat would get, so it is
+		// recorded in place of a verdict.
+		var br *badRequest
+		if !errors.As(err, &br) || br.code != client.ErrCodeNeedMoreSamples {
+			st.RecordTest(stream.TestRecord{At: time.Now(), Seed: st.Cfg.Params.Seed, Err: err.Error()})
+		}
+		return
+	}
 	j, err := s.submit(context.Background(), sp, 0)
 	if err != nil {
 		return // queue full or draining: skip this beat, the clock fires again
@@ -413,6 +384,6 @@ func (s *Server) scheduleRetest(st *stream.Stream) {
 	go func() {
 		res := await(j)
 		obs.Ingest().Tests.Add(1)
-		st.RecordTest(testRecord(res, snap, seed))
+		st.RecordTest(testRecord(res, sp))
 	}()
 }

@@ -2,7 +2,9 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
@@ -260,17 +262,166 @@ func TestStreamDeleteFreesCapacity(t *testing.T) {
 // is the need_more_samples failure, same contract as an undersized
 // replay dataset.
 func TestStreamEmptyWindowNeedsSamples(t *testing.T) {
-	_, _, c := newTestServer(t, noJanitor(serve.Config{Workers: 1}))
+	_, hs, c := newTestServer(t, noJanitor(serve.Config{Workers: 1}))
 	ctx := context.Background()
 
 	info, err := c.CreateStream(ctx, client.StreamSpec{N: 4096, K: 4, Eps: 0.5})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
+	failed := expvarInt(t, hs, "histd.runs_failed")
 	_, err = c.StreamTest(ctx, info.ID, client.StreamTestRequest{})
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.Code != client.ErrCodeNeedMoreSamples {
 		t.Fatalf("empty-window test: err = %v, want %s", err, client.ErrCodeNeedMoreSamples)
+	}
+	// Refused at admission: no run was queued, so none failed.
+	if d := expvarInt(t, hs, "histd.runs_failed") - failed; d != 0 {
+		t.Fatalf("histd.runs_failed moved by %d on an empty-window test, want 0", d)
+	}
+}
+
+// expvarInt reads one integer counter from the server's /debug/vars.
+func expvarInt(t *testing.T, hs *httptest.Server, key string) int64 {
+	t.Helper()
+	resp, err := http.Get(hs.URL + "/debug/vars")
+	if err != nil {
+		t.Fatalf("fetching /debug/vars: %v", err)
+	}
+	defer resp.Body.Close()
+	var vars map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatalf("decoding /debug/vars: %v", err)
+	}
+	var v int64
+	if err := json.Unmarshal(vars[key], &v); err != nil {
+		t.Fatalf("expvar %q is not an int: %s", key, vars[key])
+	}
+	return v
+}
+
+// TestJanitorSkipsEmptyWindow: the periodic re-test skips a stream whose
+// window is empty, so its last-test record stays unset rather than
+// holding a need-more-samples error. A second stream on the same
+// schedule, holding a few events, shows the janitor did run: a window
+// that is too small still runs and records its exhaustion.
+func TestJanitorSkipsEmptyWindow(t *testing.T) {
+	cfg := serve.Config{Workers: 1, JanitorInterval: 20 * time.Millisecond}
+	_, _, c := newTestServer(t, cfg)
+	ctx := context.Background()
+
+	spec := client.StreamSpec{N: 256, K: 2, Eps: 0.5, RetestEveryMS: 100}
+	empty, err := c.CreateStream(ctx, spec)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	filled, err := c.CreateStream(ctx, spec)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, err := c.IngestEvents(ctx, filled.ID, []int{1, 2, 3}); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+
+	deadline := time.Now().Add(raceScale * 10 * time.Second)
+	for {
+		got, err := c.GetStream(ctx, filled.ID)
+		if err != nil {
+			t.Fatalf("get: %v", err)
+		}
+		if got.LastTest != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("periodic re-test never ran on the filled stream")
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	got, err := c.GetStream(ctx, empty.ID)
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	if got.LastTest != nil {
+		t.Fatalf("empty stream was re-tested: last test %+v", *got.LastTest)
+	}
+}
+
+// TestJanitorRetestLeavesIdleStreamsEvictable: a periodic re-test is not
+// traffic, so a stream nobody touches is TTL-evicted even when its
+// re-test beat is shorter than the TTL — whether the beat is skipped
+// (empty window) or runs (a few events).
+func TestJanitorRetestLeavesIdleStreamsEvictable(t *testing.T) {
+	cfg := serve.Config{Workers: 1, JanitorInterval: 10 * time.Millisecond, StreamTTL: 400 * time.Millisecond}
+	_, hs, c := newTestServer(t, cfg)
+	ctx := context.Background()
+
+	spec := client.StreamSpec{N: 256, K: 2, Eps: 0.5, RetestEveryMS: 100}
+	empty, err := c.CreateStream(ctx, spec)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	// Read after the first create, which registers the ingest counters.
+	evicted := expvarInt(t, hs, "histd.ingest_evictions")
+	filled, err := c.CreateStream(ctx, spec)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, err := c.IngestEvents(ctx, filled.ID, []int{1, 2, 3}); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+
+	// Poll the eviction counter, not the streams: a lookup is traffic.
+	deadline := time.Now().Add(raceScale * 10 * time.Second)
+	for expvarInt(t, hs, "histd.ingest_evictions")-evicted < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("idle streams on a re-test schedule were never evicted")
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	for _, id := range []string{empty.ID, filled.ID} {
+		if _, err := c.GetStream(ctx, id); !isAPIStatus(err, http.StatusNotFound) {
+			t.Fatalf("stream %s after its TTL: err = %v, want 404", id, err)
+		}
+	}
+}
+
+// TestJanitorRecordsRefusedRetest: a stream registered with the literal
+// paper constants is over the budget guard, so every test of it is
+// refused at admission. A client test gets the 400; the periodic re-test,
+// which has no client, records the refusal in last_test instead of
+// skipping every beat without a trace.
+func TestJanitorRecordsRefusedRetest(t *testing.T) {
+	cfg := serve.Config{Workers: 1, JanitorInterval: 20 * time.Millisecond}
+	_, _, c := newTestServer(t, cfg)
+	ctx := context.Background()
+
+	info, err := c.CreateStream(ctx, client.StreamSpec{N: 256, K: 2, Eps: 0.5, Paper: true, RetestEveryMS: 100})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, err := c.IngestEvents(ctx, info.ID, []int{1, 2, 3}); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	if _, err := c.StreamTest(ctx, info.ID, client.StreamTestRequest{}); !isAPIStatus(err, http.StatusBadRequest) {
+		t.Fatalf("over-budget stream test: err = %v, want 400", err)
+	}
+
+	deadline := time.Now().Add(raceScale * 10 * time.Second)
+	for {
+		got, err := c.GetStream(ctx, info.ID)
+		if err != nil {
+			t.Fatalf("get: %v", err)
+		}
+		if rec := got.LastTest; rec != nil {
+			if !strings.Contains(rec.Err, "budget") || rec.Seed != got.Seed {
+				t.Fatalf("last test %+v, want the budget refusal under seed %d", *rec, got.Seed)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the refused periodic re-test left no record")
+		}
+		time.Sleep(25 * time.Millisecond)
 	}
 }
 

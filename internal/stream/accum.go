@@ -1,3 +1,10 @@
+// Package stream turns live event streams into the count vectors the
+// tester runs over — the streaming-histogram setting the paper's
+// introduction cites ([GGI+02], [GKS06]): a sharded Accumulator with
+// sliding-window generations, zero-allocation ndjson and binary ingest
+// decoders, and the Registry of live streams the serving layer exposes
+// at /v1/streams. A Snapshot folds the window into an oracle.Counts that
+// oracle.NewCountsReplay replays without replacement.
 package stream
 
 import (
