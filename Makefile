@@ -129,15 +129,18 @@ fuzz:
 	$(GO) test -fuzz=FuzzSerializeRoundTrip -fuzztime=$(FUZZTIME) ./histtest/
 	$(GO) test -fuzz=FuzzDenseSparseEquivalence -fuzztime=$(FUZZTIME) ./internal/oracle/
 	$(GO) test -fuzz=FuzzSamplerBatchTally -fuzztime=$(FUZZTIME) ./internal/oracle/
+	$(GO) test -fuzz=FuzzReplayBatchTally -fuzztime=$(FUZZTIME) ./internal/oracle/
 	$(GO) test -fuzz=FuzzIngestDecoder -fuzztime=$(FUZZTIME) ./internal/stream/
 
 # Quick fuzz smoke for CI: the differential targets that guard the wire
-# format, the dense/sparse counting crossover, and the fused exact-draw
-# tally against the per-draw sampler.
+# format, the dense/sparse counting crossover, the fused exact-draw
+# tally against the per-draw sampler, and the replay batch kernel
+# against the per-draw replay.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./histtest/
 	$(GO) test -fuzz=FuzzDenseSparseEquivalence -fuzztime=10s ./internal/oracle/
 	$(GO) test -fuzz=FuzzSamplerBatchTally -fuzztime=10s ./internal/oracle/
+	$(GO) test -fuzz=FuzzReplayBatchTally -fuzztime=10s ./internal/oracle/
 
 # Coverage ratchet: measure statement coverage and fail when it drops
 # more than 1pt — total or per-package — below the committed

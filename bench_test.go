@@ -202,6 +202,17 @@ func BenchmarkDrawCountsPooled(b *testing.B) { benchhot.DrawCountsPooled(b) }
 // the per-batch closed-form speedup.
 func BenchmarkDrawCountsClosedForm(b *testing.B) { benchhot.DrawCountsClosedForm(b) }
 
+// BenchmarkDrawCountsReplayDistinct1e3 and ...Distinct2p20 measure one
+// DrawCounts batch of mean 2¹⁶ from a stream window's CountsReplay: the
+// stream-mixed window (10³ distinct elements) and a window whose 2²⁰
+// distinct elements put the Fenwick array out of L2.
+func BenchmarkDrawCountsReplayDistinct1e3(b *testing.B) {
+	benchhot.DrawCountsReplay(b, benchhot.ReplayStreamWindow())
+}
+func BenchmarkDrawCountsReplayDistinct2p20(b *testing.B) {
+	benchhot.DrawCountsReplay(b, benchhot.ReplayWideWindow())
+}
+
 // BenchmarkIngestSoak and its ParallelN variants measure aggregate
 // sharded-accumulator ingest throughput — the events/s numbers
 // BENCH_ingest.json tracks (see `make bench-ingest-json`); N goroutines

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/benchhot"
 	"repro/internal/cli"
+	"repro/internal/oracle"
 )
 
 // prPooledBaseline is BenchmarkCoreTestHotPath measured on the commit
@@ -74,6 +75,11 @@ func measureHotpath(stderr io.Writer) cli.HotpathReport {
 			Note:        measuredNote(procs),
 		}
 	}
+	replay := func(name, window string, counts func() *oracle.Counts) cli.HotpathResult {
+		res := run(name, 1, func(b *testing.B) { benchhot.DrawCountsReplay(b, counts()) })
+		res.Note = "one DrawCounts batch of mean 2^16 from a CountsReplay over " + window + "; " + res.Note
+		return res
+	}
 	return cli.HotpathReport{
 		Schema:   cli.HotpathSchema,
 		Go:       runtime.Version(),
@@ -98,6 +104,10 @@ func measureHotpath(stderr io.Writer) cli.HotpathReport {
 				benchhot.DrawCountsPooled),
 			"BenchmarkDrawCountsClosedForm": run("BenchmarkDrawCountsClosedForm", 1,
 				benchhot.DrawCountsClosedForm),
+			"BenchmarkDrawCountsReplayDistinct1e3": replay("BenchmarkDrawCountsReplayDistinct1e3",
+				"the stream-mixed window (2^21 events, 10^3 distinct)", benchhot.ReplayStreamWindow),
+			"BenchmarkDrawCountsReplayDistinct2p20": replay("BenchmarkDrawCountsReplayDistinct2p20",
+				"a window of 2^20 distinct elements (about 2^23 events; Fenwick array out of L2)", benchhot.ReplayWideWindow),
 		},
 	}
 }

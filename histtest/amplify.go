@@ -2,6 +2,7 @@ package histtest
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stats"
 )
@@ -48,7 +49,12 @@ func TestSourceWithConfidence(src Source, n, k int, eps, delta float64, opt Opti
 }
 
 // RequiredSamplesWithConfidence returns the nominal total budget of
-// TestSourceWithConfidence.
+// TestSourceWithConfidence, saturating at math.MaxInt64 like
+// RequiredSamples instead of wrapping.
 func RequiredSamplesWithConfidence(n, k int, eps, delta float64, opt Options) int64 {
-	return RequiredSamples(n, k, eps, opt) * int64(stats.RepsForConfidence(delta))
+	base, reps := RequiredSamples(n, k, eps, opt), int64(stats.RepsForConfidence(delta))
+	if base > math.MaxInt64/reps {
+		return math.MaxInt64
+	}
+	return base * reps
 }

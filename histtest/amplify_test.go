@@ -60,6 +60,17 @@ func TestRequiredSamplesWithConfidence(t *testing.T) {
 	}
 }
 
+// TestRequiredSamplesWithConfidenceSaturates: the repetition count
+// multiplies a budget that may already be near or at math.MaxInt64, and
+// the product saturates there instead of wrapping.
+func TestRequiredSamplesWithConfidenceSaturates(t *testing.T) {
+	for _, eps := range []float64{1.5e-4, 1e-6} {
+		if got := RequiredSamplesWithConfidence(1<<20, 8, eps, 0.01, Options{}); got != math.MaxInt64 {
+			t.Errorf("eps=%g: budget %d, want math.MaxInt64", eps, got)
+		}
+	}
+}
+
 func TestHistogramJSONRoundTrip(t *testing.T) {
 	orig, err := NewHistogram(512, []int{100, 300}, []float64{0.5, 0.2, 0.3})
 	if err != nil {

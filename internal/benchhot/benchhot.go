@@ -130,3 +130,51 @@ func DrawCountsClosedForm(b *testing.B) {
 		c.Release()
 	}
 }
+
+// replayBatch is the mean of one DrawCountsReplay batch.
+const replayBatch = 1 << 16
+
+// ReplayStreamWindow is the window of the stream-mixed served workload:
+// 2²¹ events of its 4-histogram over n = 1000, so all 10³ elements are
+// present and the replay's Fenwick array fits in L1.
+func ReplayStreamWindow() *oracle.Counts {
+	h, err := dist.FromWeights(intervals.FromBoundaries(1000, []int{250, 500, 750}), []float64{0.4, 0.1, 0.3, 0.2})
+	if err != nil {
+		panic(err)
+	}
+	return oracle.DrawNCounts(oracle.NewSampler(h, rng.New(1)), 1<<21)
+}
+
+// ReplayWideWindow holds 2²⁰ distinct elements with 1 to 15 events each
+// (about 2²³ in all): the replay's 8 MiB Fenwick array no longer fits
+// in L2, so the descent's cache misses set its cost.
+func ReplayWideWindow() *oracle.Counts {
+	const n = 1 << 20
+	c := oracle.AcquireCounts(n, n)
+	for i := 0; i < n; i++ {
+		c.AddN(i, 1+i%15)
+	}
+	return c
+}
+
+// DrawCountsReplay measures one DrawCounts batch of mean 2¹⁶ from a
+// CountsReplay over window — the unit of work the sieve and the learner
+// repeat when they test a stream. The replay is rebuilt, inside the
+// timed loop as a stream test pays for it, whenever fewer than 2·2¹⁶
+// events remain.
+func DrawCountsReplay(b *testing.B, window *oracle.Counts) {
+	shuffle, r := rng.New(1), rng.New(2)
+	cr := oracle.NewCountsReplay(window, shuffle)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cr.Remaining() < 2*replayBatch {
+			cr = oracle.NewCountsReplay(window, shuffle)
+		}
+		c := oracle.DrawCounts(cr, r, replayBatch)
+		if c.Total() < 0 {
+			b.Fatal("impossible")
+		}
+		c.Release()
+	}
+}

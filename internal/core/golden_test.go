@@ -12,33 +12,54 @@ import (
 // against values recorded from the per-draw sampler, float fields by
 // their bits. The in-build bit-identity tests compare two paths of one
 // build; this one fails when the exact draw stream itself changes —
-// the partition, learn, sieve and final batches all read it. The
-// constants must never be edited.
+// the partition, learn, sieve and final batches all read it. The replay
+// rows run the same engines over a CountsReplay of a 2²³-event window,
+// the oracle a stream test reads, against values recorded from the
+// per-draw Fenwick replay. The constants must never be edited.
 func TestGoldenTraces(t *testing.T) {
 	bits := math.Float64frombits
 	for _, tc := range []struct {
 		engine  string
+		replay  bool
 		samples int64
 		want    Trace
 	}{
-		{"adk", 4301951, Trace{
+		{"adk", false, 4301951, Trace{
 			N: 4096, K: 108, B: bits(0x4054e5b8eaa8d7df), SieveRoundsRun: 2,
 			PartitionSamples: 4293, LearnSamples: 497664, SieveSamples: 3538503, TestSamples: 261491,
 			RemovedHeavy: 1, RemovedRounds: 1, RemovedMass: bits(0x3f91db3066225bd9),
 			CheckRelaxed: bits(0x3f758a66134eed00),
 			FinalZ:       bits(0x40549d76901a3492), FinalThresh: bits(0x4080000000000001),
 		}},
-		{"cdkl22", 583987, Trace{
+		{"cdkl22", false, 583987, Trace{
 			N: 4096, K: 108, B: bits(0x4054e5b8eaa8d7df),
 			PartitionSamples: 4293, LearnSamples: 497664, TestSamples: 82030,
 			CheckRelaxed: bits(0x3f83207f36c67980),
 			FinalZ:       bits(0x403412ffde9028b1), FinalThresh: bits(0x4080000000000000),
 		}},
+		{"adk", true, 4306559, Trace{
+			N: 4096, K: 109, B: bits(0x4054e5b8eaa8d7df), SieveRoundsRun: 2,
+			PartitionSamples: 4293, LearnSamples: 502272, SieveSamples: 3538503, TestSamples: 261491,
+			RemovedRounds: 2, RemovedMass: bits(0x3f913b52f36eb12b),
+			CheckRelaxed: bits(0x3f79ee3ee982d314),
+			FinalZ:       bits(0xc03bd306eb68c2e4), FinalThresh: bits(0x4080000000000001),
+		}},
+		{"cdkl22", true, 588595, Trace{
+			N: 4096, K: 109, B: bits(0x4054e5b8eaa8d7df),
+			PartitionSamples: 4293, LearnSamples: 502272, TestSamples: 82030,
+			CheckRelaxed: bits(0x3f8032d4cfb3ad26),
+			FinalZ:       bits(0x4037b952149c72e8), FinalThresh: bits(0x4080000000000000),
+		}},
 	} {
 		cfg := PracticalConfig()
 		cfg.Engine = tc.engine
-		s := oracle.NewSampler(threeHistogram(4096), rng.New(31))
-		res, err := Test(s, rng.New(32), 3, 0.5, cfg)
+		var o oracle.Oracle = oracle.NewSampler(threeHistogram(4096), rng.New(31))
+		if tc.replay {
+			window := oracle.DrawNCounts(o, 1<<23)
+			o = oracle.NewCountsReplay(window, rng.New(33))
+			window.Release()
+		}
+		res, err := Test(o, rng.New(32), 3, 0.5, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.engine, err)
 		}
@@ -46,8 +67,8 @@ func TestGoldenTraces(t *testing.T) {
 		if !res.Accept || got != tc.want || math.Float64bits(got.FinalZ) != math.Float64bits(tc.want.FinalZ) {
 			t.Errorf("%s: accept=%v trace\n got  %+v\n want %+v", tc.engine, res.Accept, got, tc.want)
 		}
-		if s.Samples() != tc.samples {
-			t.Errorf("%s: sampler drew %d, want %d", tc.engine, s.Samples(), tc.samples)
+		if o.Samples() != tc.samples {
+			t.Errorf("%s: oracle drew %d, want %d", tc.engine, o.Samples(), tc.samples)
 		}
 	}
 }

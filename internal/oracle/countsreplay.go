@@ -37,7 +37,7 @@ import (
 type CountsReplay struct {
 	n     int
 	elems []int32 // distinct elements, ascending
-	tree  []int64 // Fenwick tree over remaining per-element counts
+	tree  []int64 // Fenwick tree over remaining per-element counts, padded: see NewCountsReplay
 	rem   int64
 	r     *rng.RNG
 	count int64
@@ -50,23 +50,30 @@ var _ Oracle = (*CountsReplay)(nil)
 // construction and not retained, so the caller remains free to Release
 // it immediately afterwards.
 func NewCountsReplay(c *Counts, r *rng.RNG) *CountsReplay {
+	// The tree has top+1 entries, top the smallest power of two >= the
+	// distinct count, so node top is the root of every descent and holds
+	// the remaining total.
+	top := 1
+	for top < c.Distinct() {
+		top <<= 1
+	}
 	cr := &CountsReplay{
 		n:     c.N(),
 		elems: make([]int32, 0, c.Distinct()),
-		tree:  make([]int64, c.Distinct()+1),
+		tree:  make([]int64, top+1),
 		r:     r,
 	}
 	c.ForEach(func(elem, count int) {
 		cr.elems = append(cr.elems, int32(elem))
-		// Linear-time Fenwick construction: place the count, then push the
-		// partial sum to the parent node.
-		i := len(cr.elems) // 1-based tree index
-		cr.tree[i] += int64(count)
-		if p := i + (i & -i); p < len(cr.tree) {
-			cr.tree[p] += cr.tree[i]
-		}
+		cr.tree[len(cr.elems)] = int64(count) // 1-based tree index
 		cr.rem += int64(count)
 	})
+	// Linear-time Fenwick construction, padding included: every node below
+	// the root is complete once its children have pushed to it, and then
+	// pushes its own sum to its parent.
+	for i := 1; i < top; i++ {
+		cr.tree[i+(i&-i)] += cr.tree[i]
+	}
 	return cr
 }
 
@@ -103,6 +110,66 @@ func (cr *CountsReplay) Draw() int {
 	cr.rem--
 	cr.count++
 	return int(cr.elems[idx])
+}
+
+// tally adds m <= Remaining() draws to c, four at a time. It is m Draw()
+// calls interleaved, and it leaves the tree, the counters and the
+// shuffle stream exactly where those calls would:
+//
+//   - the four ranks are drawn first, in stream order, from the bounds
+//     four Draw() calls use;
+//   - the four descents start at the root, which holds rem and is never
+//     passed, and walk down level by level. A node is read and written
+//     only at the level of its lowest set bit, and lane j takes its step
+//     there after lane j−1, so each lane reads every node as the
+//     sequential draws would leave it;
+//   - a descent decrements each node it does not pass. Those are the
+//     nodes whose range holds the drawn position, the set Draw()'s
+//     update loop visits, so no second pass is needed.
+//
+// The step is branch-free because its direction is a coin flip to the
+// branch predictor; four lanes keep four cache misses in flight where a
+// single branch-free descent would wait for each in turn. The m mod 4
+// draws left over go through Draw().
+func (cr *CountsReplay) tally(c *Counts, m int) {
+	tree, elems, top := cr.tree, cr.elems, len(cr.tree)-1
+	rem, i := cr.rem, 0
+	for ; i+4 <= m; i += 4 {
+		t0 := int64(cr.r.Intn(int(rem)))
+		t1 := int64(cr.r.Intn(int(rem - 1)))
+		t2 := int64(cr.r.Intn(int(rem - 2)))
+		t3 := int64(cr.r.Intn(int(rem - 3)))
+		rem -= 4
+		tree[top] -= 4
+		var i0, i1, i2, i3 int
+		for mask := top >> 1; mask > 0; mask >>= 1 {
+			i0, t0 = descend(tree, i0, mask, t0)
+			i1, t1 = descend(tree, i1, mask, t1)
+			i2, t2 = descend(tree, i2, mask, t2)
+			i3, t3 = descend(tree, i3, mask, t3)
+		}
+		c.bump(int(elems[i0]))
+		c.bump(int(elems[i1]))
+		c.bump(int(elems[i2]))
+		c.bump(int(elems[i3]))
+	}
+	cr.rem = rem
+	cr.count += int64(i)
+	for ; i < m; i++ {
+		c.bump(cr.Draw())
+	}
+}
+
+// descend takes one level of a Fenwick descent without a branch: it
+// passes node idx+mask when that node's remaining count is <= t, and
+// otherwise decrements it. t < rem and counts are non-negative, so t−v
+// cannot overflow and its sign bit is the direction.
+func descend(tree []int64, idx, mask int, t int64) (int, int64) {
+	next := idx + mask
+	v := tree[next]
+	stay := (t - v) >> 63 // −1 when v > t: the drawn position is in next's range
+	tree[next] = v + stay
+	return idx + mask&^int(stay), t - v&^stay
 }
 
 // Samples returns how many events have been drawn.

@@ -166,3 +166,128 @@ func TestGoldenSamplerDraw(t *testing.T) {
 		}
 	}
 }
+
+// goldenReplayWindow builds the tallies TestGoldenCountsReplayStreams
+// replays: one distinct element; three (a Fenwick tree that is not a
+// power of two long); 1024 (one that is); the stream-mixed shape, 2²¹
+// events of a 4-histogram over n = 1000 on a dense backing; and a sparse
+// backing over n = 2²⁰ holding about 5000 distinct elements.
+func goldenReplayWindow(name string) *Counts {
+	switch name {
+	case "one":
+		c := AcquireCounts(128, 128)
+		c.AddN(17, 12_000)
+		return c
+	case "three":
+		c := AcquireCounts(300, 300)
+		c.AddN(2, 3000)
+		c.AddN(150, 5000)
+		c.AddN(299, 1500)
+		return c
+	case "pow2":
+		c := AcquireCounts(4096, 4096)
+		for i := 0; i < 1024; i++ {
+			c.AddN(4*i+1, 1+i*7%29)
+		}
+		return c
+	case "mixed":
+		pieces := make([]dist.Piece, 4)
+		for j, m := range []float64{0.4, 0.1, 0.3, 0.2} {
+			pieces[j] = dist.Piece{Iv: intervals.Interval{Lo: 250 * j, Hi: 250 * (j + 1)}, Mass: m}
+		}
+		return DrawNCounts(NewSampler(dist.MustPiecewiseConstant(1000, pieces), rng.New(5)), 1<<21)
+	case "sparse":
+		const n = 1 << 20
+		c := AcquireCounts(n, 0)
+		r := rng.New(9)
+		for i := 0; i < 5000; i++ {
+			c.AddN(r.Intn(n), 1+r.Intn(16))
+		}
+		return c
+	}
+	panic("unknown window " + name)
+}
+
+// TestGoldenCountsReplayStreams pins the without-replacement replay the
+// stream verdict path reads, against constants recorded from the
+// per-draw Fenwick replay: 4096 Draw() values, or two consecutive
+// DrawNCounts / DrawCounts batches (one when the batch is the whole
+// window), then Samples(), Remaining() and the next Uint64 of both the
+// shuffle stream and the Poisson stream. DrawNCounts sizes sit on both
+// sides of each window's n/64 crossover and at exactly Remaining()
+// (size -1). The constants must never be edited.
+func TestGoldenCountsReplayStreams(t *testing.T) {
+	cases := []struct {
+		window, op string
+		size       int
+		dense      bool
+		want       uint64
+	}{
+		{"one", "Draw", 4096, false, 0x8824aafd43a7afa0},
+		{"one", "DrawNCounts", 1, false, 0x815d6a3ee631885f},
+		{"one", "DrawNCounts", 2, true, 0xd6b47d003c665e51},
+		{"one", "DrawNCounts", -1, true, 0x78a95fdcdc6ed9f9},
+		{"one", "DrawCounts", 3000, true, 0x473323092b1f8bcf},
+		{"three", "Draw", 4096, false, 0x36dc248772482a15},
+		{"three", "DrawNCounts", 3, false, 0x5f14827a94025a20},
+		{"three", "DrawNCounts", 4, true, 0x91789fad44b6100d},
+		{"three", "DrawNCounts", 4001, true, 0x5584994e84c69dd3},
+		{"three", "DrawNCounts", -1, true, 0x78a07fae6faf2d21},
+		{"three", "DrawCounts", 2000, true, 0xa5f808a073b63968},
+		{"pow2", "Draw", 4096, false, 0x2f3a945f41ddd3b4},
+		{"pow2", "DrawNCounts", 63, false, 0xb268fc7a2a57d48d},
+		{"pow2", "DrawNCounts", 64, true, 0x49daf5f9a3bf3476},
+		{"pow2", "DrawNCounts", 5003, true, 0x49e555d02ea0ed9d},
+		{"pow2", "DrawNCounts", -1, true, 0xb50e093411c1a094},
+		{"pow2", "DrawCounts", 4000, true, 0x80ff831205665c03},
+		{"mixed", "Draw", 4096, false, 0x40e808c6895a5e5d},
+		{"mixed", "DrawNCounts", 14, false, 0x908546de25f5ca5e},
+		{"mixed", "DrawNCounts", 15, true, 0xd3dcbffdd8654f76},
+		{"mixed", "DrawNCounts", 65_537, true, 0x9690c6beaea1b969},
+		{"mixed", "DrawNCounts", -1, true, 0xf8d36096ea7c83dd},
+		{"mixed", "DrawCounts", 65_536, true, 0x1dc2055b79aae7de},
+		{"sparse", "Draw", 4096, false, 0x91dcff90d6de57b2},
+		{"sparse", "DrawNCounts", 16_383, false, 0x8e40be5931e844a4},
+		{"sparse", "DrawNCounts", 16_384, true, 0x79380212e1e70a57},
+		{"sparse", "DrawNCounts", -1, true, 0x5b2d7da790a02588},
+		{"sparse", "DrawCounts", 10_000, false, 0x760008d1639d8fe4},
+	}
+	for i, tc := range cases {
+		seed := uint64(2000 + 10*i)
+		window := goldenReplayWindow(tc.window)
+		cr := NewCountsReplay(window, rng.New(seed))
+		window.Release()
+		r := rng.New(seed + 1)
+		var g goldenDigest
+		switch tc.op {
+		case "Draw":
+			for j := 0; j < tc.size; j++ {
+				g.int(int64(cr.Draw()))
+			}
+		default:
+			for batch := 0; batch < 2 && cr.Remaining() > 0; batch++ {
+				var c *Counts
+				switch {
+				case tc.op == "DrawCounts":
+					c = DrawCounts(cr, r, float64(tc.size))
+				case tc.size < 0:
+					c = DrawNCounts(cr, int(cr.Remaining()))
+				default:
+					c = DrawNCounts(cr, tc.size)
+				}
+				if batch == 0 && c.Dense() != tc.dense {
+					t.Errorf("%s/%s/%d: first batch dense = %v, want %v", tc.window, tc.op, tc.size, c.Dense(), tc.dense)
+				}
+				g.counts(c)
+				c.Release()
+			}
+		}
+		g.int(cr.Samples())
+		g.int(cr.Remaining())
+		g.int(int64(cr.r.Uint64()))
+		g.int(int64(r.Uint64()))
+		if got := g.sum(); got != tc.want {
+			t.Errorf("%s/%s/%d: digest %#016x, want %#016x", tc.window, tc.op, tc.size, got, tc.want)
+		}
+	}
+}

@@ -76,23 +76,15 @@ func DrawPoisson(o Oracle, r *rng.RNG, mean float64) []int {
 //	NewCounts(o.N(), DrawPoisson(o, r, mean))
 //
 // (one Poisson variate from r, then that many draws from o) and yields
-// identical counts, so replay-backed oracles see an unchanged stream. The
-// mean is used to pick the counts representation up front: dense for
-// sample sizes comparable to the domain, sparse otherwise.
+// identical counts, so replay-backed oracles see an unchanged stream. It
+// is DrawNCounts of the Poisson variate: the realized sample size picks
+// the counts representation, dense for sizes comparable to the domain,
+// sparse otherwise.
 //
 // The Counts comes from the buffer pool; the caller owns it and should
 // Release it once the tally has been consumed (see Release).
 func DrawCounts(o Oracle, r *rng.RNG, mean float64) *Counts {
-	if s, ok := o.(*Sampler); ok {
-		return s.DrawPoissonCounts(r, mean)
-	}
-	m := r.Poisson(mean)
-	c := acquireCountsSized(o.N(), m)
-	defer releaseOnPanic(c)
-	for i := 0; i < m; i++ {
-		c.add(o.Draw())
-	}
-	return c
+	return DrawNCounts(o, r.Poisson(mean))
 }
 
 // CountStrategy selects how Poissonized count vectors are synthesized for
@@ -336,14 +328,6 @@ func (s *Sampler) draw() int {
 		return run.lo
 	}
 	return run.lo + s.r.Intn(int(run.width))
-}
-
-// DrawPoissonCounts is DrawCounts specialized to the alias-table sampler:
-// the Poisson variate comes from r, the draws from the sampler's own
-// stream. The randomness consumed is identical to the generic DrawCounts
-// path. The Counts comes from the buffer pool; Release it once consumed.
-func (s *Sampler) DrawPoissonCounts(r *rng.RNG, mean float64) *Counts {
-	return s.drawCounts(r.Poisson(mean))
 }
 
 // drawCounts tallies m exact draws into a pooled Counts: a dense backing

@@ -13,8 +13,8 @@ import (
 // and at production scale the dense backing is a []int32 of length n
 // (400 KB at n = 10⁵). Re-allocating it per batch dominates wall-clock
 // long before the Theorem 3.1 work bound does, so the batch drawing
-// entry points (DrawCounts, DrawPoissonCounts, DrawNCounts) acquire
-// their Counts from a sync.Pool and callers hand them back with Release.
+// entry points (DrawCounts, DrawNCounts) acquire their Counts from a
+// sync.Pool and callers hand them back with Release.
 //
 // Ownership contract:
 //
@@ -174,11 +174,21 @@ func releaseOnPanic(c *Counts) {
 //
 //	NewCounts(o.N(), DrawN(o, m))
 //
-// (m sequential draws from o) and yields identical counts. The caller
-// owns the result; Release it when the tally has been consumed.
+// (m sequential draws from o) and yields identical counts. A Sampler
+// batch and a CountsReplay batch that fits in Remaining() take their
+// oracle's batch kernel; every other batch is drawn one by one, so a
+// replay that runs dry panics after the same draws. The caller owns the
+// result; Release it when the tally has been consumed.
 func DrawNCounts(o Oracle, m int) *Counts {
-	if s, ok := o.(*Sampler); ok {
-		return s.drawCounts(m)
+	switch o := o.(type) {
+	case *Sampler:
+		return o.drawCounts(m)
+	case *CountsReplay:
+		if int64(m) <= o.rem {
+			c := acquireCountsSized(o.n, m)
+			o.tally(c, m)
+			return c
+		}
 	}
 	c := acquireCountsSized(o.N(), m)
 	defer releaseOnPanic(c)
