@@ -123,6 +123,7 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzEngineSelection -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzRequestDecoder -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz=FuzzDecodeBody -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzFromBoundaries -fuzztime=$(FUZZTIME) ./internal/intervals/
 	$(GO) test -fuzz=FuzzDomainAlgebra -fuzztime=$(FUZZTIME) ./internal/intervals/
 	$(GO) test -fuzz=FuzzProjectTV -fuzztime=$(FUZZTIME) ./internal/histdp/
@@ -134,13 +135,15 @@ fuzz:
 
 # Quick fuzz smoke for CI: the differential targets that guard the wire
 # format, the dense/sparse counting crossover, the fused exact-draw
-# tally against the per-draw sampler, and the replay batch kernel
-# against the per-draw replay.
+# tally against the per-draw sampler, the replay batch kernel against
+# the per-draw replay, and the request-body decoder against
+# encoding/json.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./histtest/
 	$(GO) test -fuzz=FuzzDenseSparseEquivalence -fuzztime=10s ./internal/oracle/
 	$(GO) test -fuzz=FuzzSamplerBatchTally -fuzztime=10s ./internal/oracle/
 	$(GO) test -fuzz=FuzzReplayBatchTally -fuzztime=10s ./internal/oracle/
+	$(GO) test -fuzz=FuzzDecodeBody -fuzztime=10s ./internal/serve/
 
 # Coverage ratchet: measure statement coverage and fail when it drops
 # more than 1pt — total or per-package — below the committed

@@ -326,6 +326,24 @@ func TestClosenessValidation(t *testing.T) {
 		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
 	}
 
+	// Trailing data after a valid pair is 400, never ignored.
+	pair := `{"a":{"sampler":"` + regd.ID + `"},"b":{"sampler":"` + regd.ID + `"},"k":4,"eps":0.4}`
+	datasets := `{"a":{"samples":[1,2]},"b":{"samples":[3]},"n":4096,"k":4,"eps":0.4}`
+	for _, body := range []string{pair + " garbage", pair + pair, datasets + ` {"k":4}`} {
+		resp, err := http.Post(hs.URL+"/v1/closeness", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("post: %v", err)
+		}
+		var wire client.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+			t.Fatalf("decoding error body: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || wire.Code != client.ErrCodeBadRequest {
+			t.Fatalf("trailing data %q: got %d/%s (%s), want 400/%s", body, resp.StatusCode, wire.Code, wire.Error, client.ErrCodeBadRequest)
+		}
+	}
+
 	// A dataset smaller than the budget is a 422 at run time.
 	small := make([]int, 64)
 	_, err = c.Closeness(ctx, client.ClosenessRequest{

@@ -75,16 +75,6 @@ func retryAfterSeconds(cfg Config) int {
 	return secs
 }
 
-// decodeBody decodes a JSON body under the configured size limit.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return badReqf("decoding request: %v", err)
-	}
-	return nil
-}
-
 // admitErr maps an admission failure to its wire code.
 func admitErr(err error) string {
 	if errors.Is(err, errDraining) {
@@ -126,7 +116,7 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) {
 }
 
 // failRequest writes a resolution failure (always a *badRequest or a
-// body-read error).
+// body-read or decoding error).
 func (s *Server) failRequest(w http.ResponseWriter, err error) {
 	var br *badRequest
 	if errors.As(err, &br) {

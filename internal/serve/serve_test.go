@@ -529,6 +529,63 @@ func TestStreamBatch(t *testing.T) {
 	}
 }
 
+// TestStreamBatchDatasetsBitIdentical: a batch of a dataset, a spec and
+// a second dataset. Each result line must be bit-identical to the direct
+// run of its own sub-request, so each dataset reaches the sub-request it
+// was sent in.
+func TestStreamBatchDatasetsBitIdentical(t *testing.T) {
+	_, _, c := newTestServer(t, serve.Config{Workers: 2, QueueDepth: 8})
+
+	// Scaled down, so each dataset is ~10⁵ samples rather than ~10⁷.
+	n, k, eps, scale := 4096, 4, 0.5, 0.01
+	cfg := core.PracticalConfig().Scale(scale)
+	need := int(core.ExpectedSamples(n, k, eps, cfg)) * 3 / 2
+	if need < 10_000 {
+		t.Fatalf("datasets of %d samples, want at least 10⁴", need)
+	}
+	dataset := func(seed uint64, size, width int) []int {
+		src := rng.New(seed)
+		data := make([]int, size)
+		for i := range data {
+			data[i] = src.Intn(width)
+		}
+		return data
+	}
+	reqs := []client.TestRequest{
+		{Samples: dataset(42, need, n/4), N: n, K: k, Eps: eps, Seed: 5, Scale: scale},
+		fastReq(),
+		{Samples: dataset(43, need+1000, n/2), N: n, K: k, Eps: eps, Seed: 6, Scale: scale},
+	}
+	batch, err := c.TestBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("batch failed: %v", err)
+	}
+	if len(batch) != len(reqs) {
+		t.Fatalf("got %d results for %d requests", len(batch), len(reqs))
+	}
+	for i, res := range batch {
+		if res.Index != i {
+			t.Fatalf("results not sorted by index: %v", batch)
+		}
+		if reqs[i].Samples == nil {
+			direct, samples := directSpecRun(t, reqs[i])
+			assertBitIdentical(t, &res, direct, samples)
+			continue
+		}
+		rep, err := oracle.NewReplay(n, reqs[i].Samples)
+		if err != nil {
+			t.Fatalf("building replay: %v", err)
+		}
+		dcfg := cfg
+		dcfg.Workers = 1
+		direct, err := core.Test(rep, rng.New(reqs[i].Seed), k, eps, dcfg)
+		if err != nil {
+			t.Fatalf("direct run %d failed: %v", i, err)
+		}
+		assertBitIdentical(t, &res, direct, rep.Samples())
+	}
+}
+
 // TestStreamBatchOverloaded: a batch larger than the queue is pushed
 // back atomically with 429 — no partial admission.
 func TestStreamBatchOverloaded(t *testing.T) {
@@ -586,6 +643,45 @@ func TestBadRequests(t *testing.T) {
 			}
 			if resp.StatusCode != tc.status || wire.Code != tc.code {
 				t.Fatalf("got %d/%s (%s), want %d/%s", resp.StatusCode, wire.Code, wire.Error, tc.status, tc.code)
+			}
+		})
+	}
+
+	// Anything but JSON whitespace after the request's value is a 400 on
+	// every JSON endpoint, however valid the value before it.
+	created, err := http.Post(hs.URL+"/v1/streams", "application/json", strings.NewReader(`{"n":16,"k":2,"eps":0.5}`))
+	if err != nil {
+		t.Fatalf("creating a stream: %v", err)
+	}
+	var info client.StreamInfo
+	if err := json.NewDecoder(created.Body).Decode(&info); err != nil {
+		t.Fatalf("decoding stream info: %v", err)
+	}
+	created.Body.Close()
+	specBody, _ := json.Marshal(fastReq())
+	dataset := `{"samples":[0,1,2,3],"n":64,"k":2,"eps":0.5}`
+	batch := `{"requests":[` + string(specBody) + `]}`
+	for _, tc := range []struct{ name, path, body string }{
+		{"trailing garbage", "/v1/test", string(specBody) + " garbage"},
+		{"second object", "/v1/test", string(specBody) + `{"k":4}`},
+		{"dataset then garbage", "/v1/test", dataset + "\n]"},
+		{"batch then garbage", "/v1/test/stream", batch + " x"},
+		{"spec then garbage", "/v1/samplers", `{"n":16,"masses":[1]} 0`},
+		{"stream spec then garbage", "/v1/streams", `{"n":16,"k":2,"eps":0.5}{}`},
+		{"stream test then garbage", "/v1/streams/" + info.ID + "/test", `{} x`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(hs.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("post: %v", err)
+			}
+			defer resp.Body.Close()
+			var wire client.ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+				t.Fatalf("decoding error body: %v", err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || wire.Code != client.ErrCodeBadRequest || !strings.Contains(wire.Error, "trailing data") {
+				t.Fatalf("got %d/%s (%s), want 400/%s for trailing data", resp.StatusCode, wire.Code, wire.Error, client.ErrCodeBadRequest)
 			}
 		})
 	}

@@ -234,10 +234,8 @@ func (s *Server) handleStreamTest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req client.StreamTestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && err != io.EOF {
-		s.failRequest(w, badReqf("decoding request: %v", err))
+	if err := s.decodeBody(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+		s.failRequest(w, err)
 		return
 	}
 	sp, err := s.resolveStreamTest(st, &req)
