@@ -213,6 +213,17 @@ func BenchmarkDrawCountsReplayDistinct2p20(b *testing.B) {
 	benchhot.DrawCountsReplay(b, benchhot.ReplayWideWindow())
 }
 
+// BenchmarkDrawNCountsDense2p20 measures one exact learn-size batch
+// (478,800 draws) over the cdkl-inline 1024-bucket reference at
+// n = 2²⁰, whose dense backing does not fit in L2;
+// BenchmarkCoreTestHotPathEngineCDKL22ClosedForm2p20 runs the
+// cdkl-inline requests in-process (CDKL'22, closed form, reference and
+// comb alternating).
+func BenchmarkDrawNCountsDense2p20(b *testing.B) { benchhot.DrawNCountsDense2p20(b) }
+func BenchmarkCoreTestHotPathEngineCDKL22ClosedForm2p20(b *testing.B) {
+	benchhot.CoreTestHotPathCDKLInline(b)
+}
+
 // BenchmarkIngestSoak and its ParallelN variants measure aggregate
 // sharded-accumulator ingest throughput — the events/s numbers
 // BENCH_ingest.json tracks (see `make bench-ingest-json`); N goroutines

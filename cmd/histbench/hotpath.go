@@ -75,10 +75,13 @@ func measureHotpath(stderr io.Writer) cli.HotpathReport {
 			Note:        measuredNote(procs),
 		}
 	}
-	replay := func(name, window string, counts func() *oracle.Counts) cli.HotpathResult {
-		res := run(name, 1, func(b *testing.B) { benchhot.DrawCountsReplay(b, counts()) })
-		res.Note = "one DrawCounts batch of mean 2^16 from a CountsReplay over " + window + "; " + res.Note
+	noted := func(res cli.HotpathResult, what string) cli.HotpathResult {
+		res.Note = what + "; " + res.Note
 		return res
+	}
+	replay := func(name, window string, counts func() *oracle.Counts) cli.HotpathResult {
+		return noted(run(name, 1, func(b *testing.B) { benchhot.DrawCountsReplay(b, counts()) }),
+			"one DrawCounts batch of mean 2^16 from a CountsReplay over "+window)
 	}
 	return cli.HotpathReport{
 		Schema:   cli.HotpathSchema,
@@ -108,6 +111,11 @@ func measureHotpath(stderr io.Writer) cli.HotpathReport {
 				"the stream-mixed window (2^21 events, 10^3 distinct)", benchhot.ReplayStreamWindow),
 			"BenchmarkDrawCountsReplayDistinct2p20": replay("BenchmarkDrawCountsReplayDistinct2p20",
 				"a window of 2^20 distinct elements (about 2^23 events; Fenwick array out of L2)", benchhot.ReplayWideWindow),
+			"BenchmarkDrawNCountsDense2p20": noted(run("BenchmarkDrawNCountsDense2p20", 1, benchhot.DrawNCountsDense2p20),
+				"one exact DrawNCounts batch of 478,800 draws over the cdkl-inline 1024-bucket reference, n=2^20 (dense backing out of L2)"),
+			"BenchmarkCoreTestHotPathEngineCDKL22ClosedForm2p20": noted(run("BenchmarkCoreTestHotPathEngineCDKL22ClosedForm2p20", 1,
+				benchhot.CoreTestHotPathCDKLInline),
+				"the cdkl-inline requests in-process: cdkl22, closed-form, k=8, eps=0.8, n=2^20, reference and comb alternating"),
 		},
 	}
 }

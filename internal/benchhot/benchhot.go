@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/gen"
 	"repro/internal/intervals"
 	"repro/internal/oracle"
 	"repro/internal/rng"
@@ -85,6 +86,58 @@ func coreTestHotPathEngine(b *testing.B, engine string, workers int, cs oracle.C
 		if !res.Accept {
 			b.Fatalf("iteration %d: 8-histogram rejected at stage %s", i, res.Trace.RejectStage)
 		}
+	}
+}
+
+// CDKLInlineSpecs returns the two specs of the cdkl-inline served
+// workload over n = 2²⁰: the 8-histogram flattened onto 1024 equal
+// buckets, and its 512-pair block comb. Their 4 MiB dense count backing
+// does not fit in L2, which sets them apart from every n = 10⁵ entry.
+func CDKLInlineSpecs() (ref, comb *dist.PiecewiseConstant) {
+	const n = 1 << 20
+	ref = dist.Flatten(EightHistogram(n), intervals.EquiWidth(n, 1024))
+	comb, _ = gen.BlockComb(ref, 512, 1)
+	return ref, comb
+}
+
+// CoreTestHotPathCDKLInline is the cdkl-inline request run in-process:
+// CDKL'22 with closed-form counts at k = 8, ε = 0.8 on the two
+// CDKLInlineSpecs, alternating reference and comb by iteration as the
+// served traffic does, with one shared Arena and one alias-table
+// prototype per spec. Its exact partition and learn batches tally into
+// the 4 MiB backing; the reference accepts and the comb rejects at
+// every seed the benchmark uses.
+func CoreTestHotPathCDKLInline(b *testing.B) {
+	const k, eps = 8, 0.8
+	ref, comb := CDKLInlineSpecs()
+	protos := [2]*oracle.Sampler{oracle.NewSampler(ref, rng.New(0)), oracle.NewSampler(comb, rng.New(0))}
+	cfg := core.PracticalConfig()
+	cfg.Engine, cfg.CountStrategy = "cdkl22", oracle.CountClosedForm
+	arena := core.NewArena()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := protos[i%2].Fork(rng.New(uint64(i)*2 + 1))
+		res, err := arena.Test(s, rng.New(uint64(i)*2+2), k, eps, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Accept != (i%2 == 0) {
+			b.Fatalf("iteration %d: accept = %v on the %s", i, res.Accept, [2]string{"reference", "comb"}[i%2])
+		}
+	}
+}
+
+// DrawNCountsDense2p20 measures one exact DrawNCounts batch at the
+// cdkl-inline learn size (478,800 draws) over the 1024-bucket
+// reference, n = 2²⁰: the two-phase tally into a dense backing past L2.
+func DrawNCountsDense2p20(b *testing.B) {
+	ref, _ := CDKLInlineSpecs()
+	s := oracle.NewSampler(ref, rng.New(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		oracle.DrawNCounts(s, 478_800).Release()
 	}
 }
 

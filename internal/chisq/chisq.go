@@ -85,6 +85,24 @@ func truncatedMass(dstar dist.Distribution, lo, hi int, tau float64) float64 {
 	return total
 }
 
+// runCursor reads D*(i) for ascending i, the order ForEach visits
+// sampled elements in: it looks up the constant run holding i only once
+// i passes the end of the run it holds, so a walk searches D* once per
+// occupied run instead of once per sampled element. D* is constant on
+// each run, so every read equals dstar.Prob(i) bit for bit.
+type runCursor struct {
+	dstar dist.Distribution
+	end   int
+	p     float64
+}
+
+func (rc *runCursor) prob(i int) float64 {
+	if i >= rc.end {
+		rc.p, rc.end = rc.dstar.Prob(i), rc.dstar.RunEnd(i)
+	}
+	return rc.p
+}
+
 // Z computes the truncated χ² statistic over the single interval
 // [iv.Lo, iv.Hi) from Poissonized counts. m is the nominal Poisson mean
 // of the total sample size.
@@ -96,11 +114,12 @@ func Z(counts *oracle.Counts, dstar dist.Distribution, iv intervals.Interval, m,
 	// Credit every truncated element with its unsampled closed form, then
 	// correct the sampled ones.
 	z := m * truncatedMass(dstar, iv.Lo, iv.Hi, tau)
+	rc := runCursor{dstar: dstar}
 	counts.ForEach(func(i, ni int) {
 		if i < iv.Lo || i >= iv.Hi {
 			return
 		}
-		pi := dstar.Prob(i)
+		pi := rc.prob(i)
 		if pi < tau {
 			return
 		}
@@ -119,7 +138,8 @@ func sampledCorrection(ni int, mpi float64) float64 {
 
 // ZDomain computes the statistic over a sub-domain G in a single pass over
 // the samples: O(#samples + #pieces of D* + #pieces of G). Domain
-// membership is resolved by a rolling cursor, since ForEach ascends.
+// membership and D*(i) are resolved by rolling cursors, since ForEach
+// ascends.
 func ZDomain(counts *oracle.Counts, dstar dist.Distribution, g *intervals.Domain, m, tau float64) float64 {
 	gIvs := g.Intervals()
 	z := 0.0
@@ -127,6 +147,7 @@ func ZDomain(counts *oracle.Counts, dstar dist.Distribution, g *intervals.Domain
 		z += m * truncatedMass(dstar, iv.Lo, iv.Hi, tau)
 	}
 	gi := 0
+	rc := runCursor{dstar: dstar}
 	counts.ForEach(func(i, ni int) {
 		for gi < len(gIvs) && gIvs[gi].Hi <= i {
 			gi++
@@ -134,7 +155,7 @@ func ZDomain(counts *oracle.Counts, dstar dist.Distribution, g *intervals.Domain
 		if gi >= len(gIvs) || i < gIvs[gi].Lo {
 			return
 		}
-		pi := dstar.Prob(i)
+		pi := rc.prob(i)
 		if pi < tau {
 			return
 		}
@@ -150,8 +171,8 @@ func ZDomain(counts *oracle.Counts, dstar dist.Distribution, g *intervals.Domain
 // single pass over the samples plus an O(K + #pieces of G) merge walk:
 // both the partition intervals and the domain pieces are sorted, so their
 // intersections — and, since ForEach ascends, the per-sample domain and
-// partition lookups — come from linear cursors rather than nested loops or
-// binary searches.
+// partition and D* lookups — come from linear cursors rather than nested
+// loops or binary searches.
 func ZPerInterval(counts *oracle.Counts, dstar dist.Distribution, p *intervals.Partition, g *intervals.Domain, m, tau float64) []float64 {
 	return ZPerIntervalInto(nil, counts, dstar, p, g, m, tau)
 }
@@ -180,22 +201,20 @@ func ZPerIntervalInto(dst []float64, counts *oracle.Counts, dstar dist.Distribut
 			gi++
 		}
 	}
-	gi, pj := 0, 0
-	counts.ForEach(func(i, ni int) {
+	gi := 0
+	rc := runCursor{dstar: dstar}
+	counts.ForEachIn(p, func(j, i, ni int) {
 		for gi < len(gIvs) && gIvs[gi].Hi <= i {
 			gi++
 		}
 		if gi >= len(gIvs) || i < gIvs[gi].Lo {
 			return
 		}
-		pi := dstar.Prob(i)
+		pi := rc.prob(i)
 		if pi < tau {
 			return
 		}
-		for p.Interval(pj).Hi <= i {
-			pj++
-		}
-		zs[pj] += sampledCorrection(ni, m*pi)
+		zs[j] += sampledCorrection(ni, m*pi)
 	})
 	return dst
 }

@@ -454,8 +454,8 @@ func reducedDecision(cx, cy *oracle.Counts, p *intervals.Partition, chi Params) 
 // fold tallies the counts of c per interval of p into out (a Counts over
 // the domain [p.Count())).
 func fold(c *oracle.Counts, p *intervals.Partition, out *oracle.Counts) {
-	c.ForEach(func(elem, count int) {
-		out.AddN(p.Find(elem), count)
+	c.ForEachIn(p, func(j, _, count int) {
+		out.AddN(j, count)
 	})
 }
 

@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dist"
+	"repro/internal/gen"
+	"repro/internal/intervals"
 	"repro/internal/oracle"
 	"repro/internal/rng"
 )
@@ -71,4 +74,66 @@ func TestGoldenTraces(t *testing.T) {
 			t.Errorf("%s: oracle drew %d, want %d", tc.engine, o.Samples(), tc.samples)
 		}
 	}
+
+	// The cdkl-inline rows: CDKL'22 with closed-form counts on the served
+	// workload's two specs over n = 2²⁰, k = 8, ε = 0.8. Their learn batch
+	// (478,800 exact draws) and partition batch tally into a 4 MiB dense
+	// backing, past L2; the closed-form flatness batch has sparse runs
+	// on the reference and dense ones on the comb.
+	ref, combSpec := cdklInlineSpecs()
+	for _, tc := range []struct {
+		spec    string
+		accept  bool
+		samples int64
+		want    Trace
+	}{
+		{"reference", true, 1000975, Trace{
+			N: 1 << 20, K: 266, B: bits(0x4068ea1a18e2093a),
+			PartitionSamples: 12204, LearnSamples: 478800, TestSamples: 509971,
+			CheckRelaxed: bits(0x3f8a5e2ddde22feb),
+			FinalZ:       bits(0x4092b3adfaf3fdd4), FinalThresh: bits(0x40c0000000000000),
+		}},
+		{"comb", false, 1003197, Trace{
+			N: 1 << 20, K: 266, B: bits(0x4068ea1a18e2093a),
+			PartitionSamples: 12204, LearnSamples: 478800, TestSamples: 512193,
+			CheckRelaxed: bits(0x3fa91dbdd1f5d751),
+			FinalZ:       bits(0x411e3c4f7dd088f5), FinalThresh: bits(0x40c0000000000000),
+			RejectStage:  "test",
+			RejectReason: "trimmed flatness statistic 495379.9 above threshold 8192.0 (forgave 7 of 266 intervals)",
+		}},
+	} {
+		d := ref
+		if tc.spec == "comb" {
+			d = combSpec
+		}
+		cfg := PracticalConfig()
+		cfg.Engine, cfg.CountStrategy = "cdkl22", oracle.CountClosedForm
+		o := oracle.NewSampler(d, rng.New(41))
+		res, err := Test(o, rng.New(42), 8, 0.8, cfg)
+		if err != nil {
+			t.Fatalf("cdkl22/%s: %v", tc.spec, err)
+		}
+		got := res.Trace
+		if res.Accept != tc.accept || got != tc.want || math.Float64bits(got.FinalZ) != math.Float64bits(tc.want.FinalZ) {
+			t.Errorf("cdkl22/%s: accept=%v trace\n got  %#v\n want %#v", tc.spec, res.Accept, got, tc.want)
+		}
+		if o.Samples() != tc.samples {
+			t.Errorf("cdkl22/%s: oracle drew %d, want %d", tc.spec, o.Samples(), tc.samples)
+		}
+	}
+}
+
+// cdklInlineSpecs returns the cdkl-inline served workload's specs over
+// n = 2²⁰: the 8-histogram of the hot-path benchmarks flattened onto
+// 1024 equal buckets, and its 512-pair block comb.
+func cdklInlineSpecs() (ref, comb *dist.PiecewiseConstant) {
+	const n = 1 << 20
+	masses := []float64{0.25, 0.05, 0.15, 0.02, 0.2, 0.08, 0.15, 0.1}
+	pieces := make([]dist.Piece, len(masses))
+	for j, m := range masses {
+		pieces[j] = dist.Piece{Iv: intervals.Interval{Lo: j * n / 8, Hi: (j + 1) * n / 8}, Mass: m}
+	}
+	ref = dist.Flatten(dist.MustPiecewiseConstant(n, pieces), intervals.EquiWidth(n, 1024))
+	comb, _ = gen.BlockComb(ref, 512, 1)
+	return ref, comb
 }

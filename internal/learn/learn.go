@@ -158,8 +158,8 @@ func LaplaceEstimate(counts *oracle.Counts, p *intervals.Partition) *dist.Piecew
 	for j := range masses {
 		masses[j] = 1.0 / float64(m+ell)
 	}
-	counts.ForEach(func(i, ni int) {
-		masses[p.Find(i)] += float64(ni) / float64(m+ell)
+	counts.ForEachIn(p, func(j, _, ni int) {
+		masses[j] += float64(ni) / float64(m+ell)
 	})
 	d, err := dist.FromWeights(p, masses)
 	if err != nil {
@@ -205,8 +205,8 @@ func EmpiricalFlattening(counts *oracle.Counts, p *intervals.Partition) *dist.Pi
 		panic("learn: empirical flattening of zero samples")
 	}
 	masses := make([]float64, p.Count())
-	counts.ForEach(func(i, ni int) {
-		masses[p.Find(i)] += float64(ni) / float64(m)
+	counts.ForEachIn(p, func(j, _, ni int) {
+		masses[j] += float64(ni) / float64(m)
 	})
 	d, err := dist.FromWeights(p, masses)
 	if err != nil {

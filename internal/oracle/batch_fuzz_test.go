@@ -55,6 +55,10 @@ func FuzzSamplerBatchTally(f *testing.F) {
 	f.Add(uint16(4096), []byte{}, uint64(4), uint16(64)) // K = 1, at n/64
 	f.Add(uint16(1), []byte{}, uint64(5), uint16(100))   // single-element domain
 	f.Add(uint16(2048), []byte{0x50, 0x31, 0xe0, 0x01, 0x7e}, uint64(6), uint16(5000))
+	// Batches one short of, at, and one past one and two tally chunks.
+	for i, m := range []int{tallyChunk - 1, tallyChunk, tallyChunk + 1, 2*tallyChunk - 1, 2 * tallyChunk, 2*tallyChunk + 1} {
+		f.Add(uint16(4096), comb, uint64(7+i), uint16(m))
+	}
 	f.Fuzz(func(t *testing.T, nRaw uint16, shape []byte, seed uint64, mRaw uint16) {
 		n := int(nRaw)%4096 + 1
 		m := int(mRaw) % (4*n + 64)

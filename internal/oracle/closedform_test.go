@@ -367,3 +367,36 @@ func TestClosedFormSingletonDomain(t *testing.T) {
 		}
 	}
 }
+
+// TestPoissonRunMatchesPoisson holds the closed form's dense-run kernel
+// to width calls of rng.Poisson(λ) on the sampler stream: the same
+// counts, total and stream position at λ on both sides of the
+// inversion's λ < 10 boundary, at λ = 0, and at tiny λ, in chunks that
+// do not divide the run.
+func TestPoissonRunMatchesPoisson(t *testing.T) {
+	const width = 4096
+	for _, lam := range []float64{0, 1e-3, 0.5, 1, 2.05, 9.999, 10, 14.6} {
+		s := NewSampler(dist.Uniform(width), rng.New(5))
+		got := NewDenseCounts(width, nil)
+		drawn := s.poissonRun(got, 0, width, lam, make([]int, 1000))
+
+		ref := rng.New(5)
+		want := NewDenseCounts(width, nil)
+		for i := 0; i < width; i++ {
+			if ci := ref.Poisson(lam); ci > 0 {
+				want.bumpN(i, ci)
+			}
+		}
+		if drawn != want.Total() || got.Total() != want.Total() || got.Distinct() != want.Distinct() {
+			t.Fatalf("λ=%v: drawn/Total/Distinct %d/%d/%d, rng.Poisson %d/%d", lam, drawn, got.Total(), got.Distinct(), want.Total(), want.Distinct())
+		}
+		for i := 0; i < width; i++ {
+			if got.Of(i) != want.Of(i) {
+				t.Fatalf("λ=%v: element %d count %d, rng.Poisson %d", lam, i, got.Of(i), want.Of(i))
+			}
+		}
+		if a, b := s.r.Uint64(), ref.Uint64(); a != b {
+			t.Fatalf("λ=%v: next Uint64 %#x, rng.Poisson stream %#x", lam, a, b)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/rng"
 )
 
@@ -49,5 +50,43 @@ func BenchmarkDenseSparseCrossover(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkTallyDense times one exact DrawNCounts batch of 478,800
+// draws (the cdkl-inline learn size) from the eight-histogram at a
+// domain whose dense backing fits in L2 (n = 10⁵, 400 KB) and at two
+// that do not (2²⁰ and 2²², 4 and 16 MiB), and the closed-form batch of
+// the cdkl-inline specs at their mean of 512,000. ns/draw divides by the
+// realized batch size. Run with
+//
+//	go test -run '^$' -bench TallyDense -count 5 ./internal/oracle/
+func BenchmarkTallyDense(b *testing.B) {
+	const m = 478_800
+	for _, n := range []int{100_000, 1 << 20, 1 << 22} {
+		b.Run(fmt.Sprintf("exact/n=%d", n), func(b *testing.B) {
+			s := NewSampler(goldenEight(n), rng.New(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				DrawNCounts(s, m).Release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/m, "ns/draw")
+		})
+	}
+	ref, comb := goldenCDKLInline()
+	for _, spec := range []struct {
+		name string
+		d    *dist.PiecewiseConstant
+	}{{"reference", ref}, {"comb", comb}} {
+		b.Run("closed-form/cdkl-inline-"+spec.name, func(b *testing.B) {
+			s, r := NewSampler(spec.d, rng.New(1)), rng.New(2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.DrawPoissonCountsClosedForm(r, 512_000).Release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Samples()), "ns/draw")
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/gen"
 	"repro/internal/intervals"
 	"repro/internal/rng"
 )
@@ -52,6 +53,18 @@ func goldenComb() *dist.PiecewiseConstant {
 	return dist.MustPiecewiseConstant(192, pieces)
 }
 
+// goldenCDKLInline returns the two specs of the cdkl-inline served
+// workload over n = 2²⁰: the eight-histogram flattened onto 1024 equal
+// buckets (every run sparse at a closed-form mean of 512,000, t up to
+// ~1000), and its 512-pair comb, whose kept blocks are dense runs at
+// λ ≈ 2 beside empty ones. Neither's dense backing fits in L2.
+func goldenCDKLInline() (ref, comb *dist.PiecewiseConstant) {
+	const n = 1 << 20
+	ref = dist.Flatten(goldenEight(n), intervals.EquiWidth(n, 1024))
+	comb, _ = gen.BlockComb(ref, 512, 1)
+	return ref, comb
+}
+
 type goldenDigest struct{ buf []byte }
 
 func (g *goldenDigest) int(v int64) { g.buf = binary.LittleEndian.AppendUint64(g.buf, uint64(v)) }
@@ -77,10 +90,13 @@ func (g *goldenDigest) sum() uint64 {
 }
 
 func TestGoldenSamplerStreams(t *testing.T) {
+	cdklRef, cdklComb := goldenCDKLInline()
 	samplers := map[string]dist.Distribution{
-		"eight": goldenEight(100_000),
-		"comb":  goldenComb(),
-		"unif":  dist.Uniform(4096),
+		"eight":    goldenEight(100_000),
+		"comb":     goldenComb(),
+		"unif":     dist.Uniform(4096),
+		"cdklRef":  cdklRef,
+		"cdklComb": cdklComb,
 	}
 	ops := map[string]func(s *Sampler, r *rng.RNG, size int) *Counts{
 		"DrawCounts":  func(s *Sampler, r *rng.RNG, size int) *Counts { return DrawCounts(s, r, float64(size)) },
@@ -91,7 +107,13 @@ func TestGoldenSamplerStreams(t *testing.T) {
 	}
 	// size is the batch length (DrawNCounts) or Poisson mean; dense
 	// records which side of the n/64 crossover the first batch lands on
-	// (n/64 = 1562 for eight, 3 for comb, 64 for unif).
+	// (n/64 = 1562 for eight, 3 for comb, 64 for unif, 16384 for the
+	// cdkl specs). The cdkl rows draw at the learn size of the
+	// cdkl-inline workload (478,800), around one and nine 2048-value
+	// tally chunks, and at its closed-form mean (512,000); the unif
+	// closed-form rows add a sparse run whose total crosses 2048 (mean
+	// 3000) and dense runs at λ ≈ 14.6, past inversion's λ < 10
+	// (mean 60,000).
 	cases := []struct {
 		sampler, op string
 		size        int
@@ -118,6 +140,19 @@ func TestGoldenSamplerStreams(t *testing.T) {
 		{"unif", "DrawNCounts", 64, true, 0x0acc8672fd6076a9},
 		{"unif", "ClosedForm", 20, false, 0x467c475459c933f3},
 		{"unif", "ClosedForm", 5000, true, 0x6559b10bcaa07114},
+		{"cdklRef", "DrawNCounts", 478_800, true, 0xd9eb871d1333239b},
+		{"cdklRef", "DrawNCounts", 2047, false, 0xa5c2fdc9b64a68e3},
+		{"cdklRef", "DrawNCounts", 2048, false, 0xf5ce38d8c344a699},
+		{"cdklRef", "DrawNCounts", 2049, false, 0x712784ab26c5f811},
+		{"cdklRef", "DrawNCounts", 18_431, true, 0x9939ddfd903d4695},
+		{"cdklRef", "DrawNCounts", 18_432, true, 0x205d5fc9f135d098},
+		{"cdklRef", "DrawNCounts", 18_433, true, 0x7aabb36d80aa7e07},
+		{"cdklComb", "DrawNCounts", 478_800, true, 0x91aa08e3132fa52f},
+		{"cdklComb", "DrawNCounts", 18_432, true, 0x912eb37cbdb29a22},
+		{"cdklRef", "ClosedForm", 512_000, true, 0x7e483e787abcbea3},
+		{"cdklComb", "ClosedForm", 512_000, true, 0xbf97e5a14db4e871},
+		{"unif", "ClosedForm", 3000, true, 0xaa238235ee01f79f},
+		{"unif", "ClosedForm", 60_000, true, 0xacd72bc855041c02},
 	}
 	for i, tc := range cases {
 		seed := uint64(1000 + 10*i)

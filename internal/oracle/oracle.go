@@ -202,7 +202,7 @@ type Sampler struct {
 // takes run alias instead, then places the sample uniformly in
 // [lo, lo+width).
 type aliasRun struct {
-	keep  uint64 // keepCut(prob), the coin tallyDense flips
+	keep  uint64 // keepCut(prob), the coin fill flips
 	alias int
 	lo    int
 	width uint64
@@ -317,7 +317,7 @@ func (s *Sampler) Draw() int {
 }
 
 // draw is the uncounted alias-table draw of the sparse batch path, and
-// the reference the fused dense loop of tallyDense is checked against.
+// the reference the fused dense loop of fill is checked against.
 func (s *Sampler) draw() int {
 	j := s.r.Intn(len(s.runs))
 	if s.r.Float64() >= s.runs[j].prob {
@@ -331,7 +331,7 @@ func (s *Sampler) draw() int {
 }
 
 // drawCounts tallies m exact draws into a pooled Counts: a dense backing
-// is filled by the fused tallyDense loop, a sparse one draw by draw.
+// is filled by the two-phase tallyDense, a sparse one draw by draw.
 func (s *Sampler) drawCounts(m int) *Counts {
 	c := acquireCountsSized(s.n, m)
 	s.count += int64(m)
@@ -345,46 +345,110 @@ func (s *Sampler) drawCounts(m int) *Counts {
 	return c
 }
 
-// tallyDense adds m exact draws to the dense backing of c. It is m calls
-// of draw() fused into one loop, and it consumes exactly the Uint64
-// sequence those calls consume: the generator is copied into a local for
-// the batch and written back once, the bounded draws are Lemire's method
-// on the thresholds precomputed in the table, and the tallies stay in
-// locals. Every count, and the stream position afterwards, is therefore
-// bit-identical to the per-draw path.
+// tallyChunk is how many values the dense batch kernels draw before
+// they scatter them: 8 KiB of int32, which stays in L1 beside the
+// run table.
+const tallyChunk = 2048
+
+// tallyDense adds m exact draws to the dense backing of c, a chunk at a
+// time: fill draws the chunk into a buffer, then scatter tallies it.
+// Kept apart, the generator's dependency chain never waits on the
+// cache miss of a count slot in a backing larger than L2, and the
+// scatter's misses overlap one another. The draws are those of m
+// draw() calls, in order, so every count and the stream position
+// afterwards are bit-identical to the per-draw path.
 func (s *Sampler) tallyDense(c *Counts, m int) {
+	var buf [tallyChunk]int32
+	for m > 0 {
+		chunk := buf[:min(m, tallyChunk)]
+		s.fill(chunk)
+		c.scatter(chunk)
+		m -= len(chunk)
+	}
+}
+
+// fill stores len(buf) exact draws in buf. It is that many draw() calls
+// fused into one loop and consumes exactly the Uint64 sequence they
+// consume: the generator is stepped by value in a local (so its state
+// stays in registers) and written back once, and the bounded draws are
+// Lemire's method on the thresholds precomputed in the table. Values
+// fit in int32 because only dense backings (n <= denseLimit) are
+// filled this way.
+func (s *Sampler) fill(buf []int32) {
 	runs, k, kCut := s.runs, uint64(len(s.runs)), s.kCut
-	dense, distinct := c.dense, c.distinct
 	g := *s.r
-	for i := 0; i < m; i++ {
-		j, frac := bits.Mul64(g.Uint64(), k)
+	var x uint64
+	for i := range buf {
+		x, g = g.Next()
+		j, frac := bits.Mul64(x, k)
 		for frac < kCut {
-			j, frac = bits.Mul64(g.Uint64(), k)
+			x, g = g.Next()
+			j, frac = bits.Mul64(x, k)
 		}
 		// The alias coin defeats the branch predictor, so the column
 		// switches to its alias without a branch: toAlias is all ones
 		// exactly when Uint64()>>11 >= keep (both sides below 2⁵³+1, so
 		// the signed difference cannot overflow).
 		col := &runs[j]
-		toAlias := uint64(int64(col.keep-1-g.Uint64()>>11) >> 63)
+		x, g = g.Next()
+		toAlias := uint64(int64(col.keep-1-x>>11) >> 63)
 		j ^= (j ^ uint64(col.alias)) & toAlias
 		run := &runs[j]
 		v := run.lo
 		if run.width > 1 {
-			off, frac := bits.Mul64(g.Uint64(), run.width)
+			x, g = g.Next()
+			off, frac := bits.Mul64(x, run.width)
 			for frac < run.cut {
-				off, frac = bits.Mul64(g.Uint64(), run.width)
+				x, g = g.Next()
+				off, frac = bits.Mul64(x, run.width)
 			}
 			v += int(off)
 		}
-		if dense[v] == 0 {
-			distinct++
-		}
-		dense[v]++
+		buf[i] = int32(v)
 	}
 	*s.r = g
-	c.distinct = distinct
-	c.total += m
+}
+
+// placeDense adds t samples placed uniformly on the run to the dense
+// backing of c: t calls of lo + Intn(width), drawn a chunk at a time
+// into buf and scattered like tallyDense's.
+func (s *Sampler) placeDense(c *Counts, run *aliasRun, t int, buf []int32) {
+	g := *s.r
+	var x uint64
+	for t > 0 {
+		chunk := buf[:min(t, len(buf))]
+		for i := range chunk {
+			x, g = g.Next()
+			off, frac := bits.Mul64(x, run.width)
+			for frac < run.cut {
+				x, g = g.Next()
+				off, frac = bits.Mul64(x, run.width)
+			}
+			chunk[i] = int32(run.lo + int(off))
+		}
+		c.scatter(chunk)
+		t -= len(chunk)
+	}
+	*s.r = g
+}
+
+// poissonRun adds an independent Poisson(lam) count for each of the
+// width elements from lo to c and returns their sum: width calls of
+// rng.Poisson(lam), drawn a chunk at a time into buf by
+// rng.PoissonFill, which pays Poisson's set-up once per chunk.
+func (s *Sampler) poissonRun(c *Counts, lo, width int, lam float64, buf []int) int {
+	drawn := 0
+	for base := 0; base < width; base += len(buf) {
+		chunk := buf[:min(width-base, len(buf))]
+		s.r.PoissonFill(chunk, lam)
+		for i, ci := range chunk {
+			if ci > 0 {
+				c.bumpN(lo+base+i, ci)
+				drawn += ci
+			}
+		}
+	}
+	return drawn
 }
 
 // DrawPoissonCountsClosedForm implements CountDrawer: it synthesizes the
@@ -435,31 +499,29 @@ func (s *Sampler) DrawPoissonCountsClosedForm(r *rng.RNG, mean float64) *Counts 
 		size += totals[j]
 	}
 	c := acquireCountsSized(s.n, size)
+	var values [tallyChunk]int32
+	var counts [tallyChunk]int
 	drawn := 0
 	for j, tj := range totals {
-		lo, width := s.runs[j].lo, int(s.runs[j].width)
+		run := &s.runs[j]
+		lo, width := run.lo, int(run.width)
 		if tj < 0 {
 			// Dense run: independent per-element Poisson thinning.
-			lam := mean * s.runs[j].w / float64(width)
-			for i := 0; i < width; i++ {
-				if ci := s.r.Poisson(lam); ci > 0 {
-					c.bumpN(lo+i, ci)
-					drawn += ci
-				}
-			}
+			drawn += s.poissonRun(c, lo, width, mean*run.w/float64(width), counts[:])
 			continue
 		}
 		drawn += tj
-		if tj == 0 {
-			continue
-		}
-		if width == 1 {
+		switch {
+		case tj == 0:
+		case width == 1:
 			c.bumpN(lo, tj)
-			continue
-		}
-		// Sparse run: uniform placement of the realized total.
-		for i := 0; i < tj; i++ {
-			c.bump(lo + s.r.Intn(width))
+		case c.dense != nil:
+			// Sparse run: uniform placement of the realized total.
+			s.placeDense(c, run, tj, values[:])
+		default:
+			for i := 0; i < tj; i++ {
+				c.bump(lo + s.r.Intn(width))
+			}
 		}
 	}
 	s.count += int64(drawn)
@@ -719,10 +781,12 @@ func newCountsSized(n, m int) *Counts {
 
 // bump tallies one in-range sample. It maintains the dense/sparse
 // backing, the distinct tally, and the running total for every counting
-// path except Sampler.tallyDense, which keeps the dense tallies in locals
-// for a whole batch (FuzzSamplerBatchTally checks the two agree). Callers
-// must guarantee v ∈ [0, n); add wraps bump with the bounds check for
-// arbitrary-oracle inputs.
+// path except the Sampler's dense batches, which scatter a chunk at a
+// time with the tallies in locals (FuzzSamplerBatchTally checks the two
+// agree). Callers must guarantee v ∈ [0, n); add wraps bump with the
+// bounds check for arbitrary-oracle inputs. The first-touch test stays a
+// branch: CountsReplay.tally bumps four times per step, and a
+// branch-free form read-modify-writes c.distinct on every one of them.
 func (c *Counts) bump(v int) {
 	if c.dense != nil {
 		if c.dense[v] == 0 {
@@ -733,6 +797,21 @@ func (c *Counts) bump(v int) {
 		c.m[v]++
 	}
 	c.total++
+}
+
+// scatter tallies the in-range values of buf into the dense backing:
+// bump for each value, with the backing, distinct tally and total held
+// in locals for the chunk.
+func (c *Counts) scatter(buf []int32) {
+	dense, distinct := c.dense, c.distinct
+	for _, v := range buf {
+		if dense[v] == 0 {
+			distinct++
+		}
+		dense[v]++
+	}
+	c.distinct = distinct
+	c.total += len(buf)
 }
 
 // bumpN tallies k occurrences of the in-range element v at once (the
@@ -849,6 +928,22 @@ func (c *Counts) ForEach(f func(elem, count int)) {
 	for _, k := range keys {
 		f(k, c.m[k])
 	}
+}
+
+// ForEachIn is ForEach that also passes the index j of the interval of
+// p holding elem; p must partition the counts' domain. The index comes
+// from a cursor that moves forward as ForEach ascends, so a walk costs
+// O(distinct + p.Count()) instead of a binary search (p.Find) per
+// element.
+func (c *Counts) ForEachIn(p *intervals.Partition, f func(j, elem, count int)) {
+	j, hi := 0, p.Interval(0).Hi
+	c.ForEach(func(elem, count int) {
+		for elem >= hi {
+			j++
+			hi = p.Interval(j).Hi
+		}
+		f(j, elem, count)
+	})
 }
 
 // InRange returns the number of samples that fell in [lo, hi).

@@ -15,11 +15,51 @@ func (r *RNG) Poisson(mean float64) int {
 		panic("rng: Poisson with negative or NaN mean")
 	case mean == 0:
 		return 0
-	case mean < 10:
+	case mean < inversionMax:
 		return r.poissonInversion(mean)
 	default:
 		return r.poissonPTRS(mean)
 	}
+}
+
+// inversionMax is the mean below which Poisson draws by inversion.
+const inversionMax = 10
+
+// PoissonFill stores len(out) independent Poisson(mean) variates in
+// out: the values, and the stream position afterwards, of len(out)
+// calls of Poisson(mean). For a mean Poisson draws by inversion, the
+// limit e^−mean is computed once for the whole batch and the generator
+// is stepped by value (see Next), so its state stays in registers; any
+// other mean calls Poisson per variate.
+func (r *RNG) PoissonFill(out []int, mean float64) {
+	if !(mean > 0 && mean < inversionMax) {
+		for i := range out {
+			out[i] = r.Poisson(mean)
+		}
+		return
+	}
+	limit := math.Exp(-mean)
+	g := *r
+	var x uint64
+	// open is Float64Open's uniform in (0, 1) on g: the one 53-bit
+	// value that maps to 1 is drawn again.
+	open := func() float64 {
+		for {
+			x, g = g.Next()
+			if u := float64(x>>11+1) * (1.0 / (1 << 53)); u < 1 {
+				return u
+			}
+		}
+	}
+	for i := range out {
+		prod, k := open(), 0
+		for prod > limit {
+			prod *= open()
+			k++
+		}
+		out[i] = k
+	}
+	*r = g
 }
 
 // poissonInversion draws by multiplying uniforms until the product drops

@@ -75,6 +75,24 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
+// Next is Uint64 on a value: it returns the output Uint64 would return
+// and the generator Uint64 would leave behind, without changing r. A
+// batch loop that copies a generator into a local and calls Uint64 on
+// it takes the local's address, and Go then keeps the state in memory,
+// where every step waits on a load; stepped as g = g.Next() the state
+// stays in registers. The two produce the same sequence.
+func (r RNG) Next() (uint64, RNG) {
+	result := bits.RotateLeft64(r.s1*5, 7) * 9
+	t := r.s1 << 17
+	r.s2 ^= r.s0
+	r.s3 ^= r.s1
+	r.s1 ^= r.s2
+	r.s0 ^= r.s3
+	r.s2 ^= t
+	r.s3 = bits.RotateLeft64(r.s3, 45)
+	return result, r
+}
+
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +55,75 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if equal > 2 {
 		t.Fatalf("child stream tracks parent: %d/64 equal", equal)
+	}
+}
+
+// TestNextMatchesUint64 holds the value-stepping form to the pointer
+// method it mirrors: a million steps of Next against Uint64 from one
+// seed must agree on every output and end in the same state.
+func TestNextMatchesUint64(t *testing.T) {
+	r := New(12345)
+	g := *r
+	for i := 0; i < 1_000_000; i++ {
+		var x uint64
+		x, g = g.Next()
+		if want := r.Uint64(); x != want {
+			t.Fatalf("step %d: Next %#x, Uint64 %#x", i, x, want)
+		}
+	}
+	if g != *r {
+		t.Fatalf("states differ after the walk: %+v vs %+v", g, *r)
+	}
+}
+
+// TestPoissonFillMatchesPoisson holds PoissonFill to len(out) calls of
+// Poisson at means on both sides of the inversion's boundary, at 0, and
+// at means so small that e^−mean rounds to 1: the same variates and the
+// same stream position.
+func TestPoissonFillMatchesPoisson(t *testing.T) {
+	for _, mean := range []float64{0, 5e-324, 1e-300, 1e-3, 0.5, 2.05, 9.999, 10, 14.6, 1e6} {
+		r, ref := New(5), New(5)
+		out := make([]int, 5000)
+		r.PoissonFill(out, mean)
+		for i, got := range out {
+			if want := ref.Poisson(mean); got != want {
+				t.Fatalf("mean %v, variate %d: PoissonFill %d, Poisson %d", mean, i, got, want)
+			}
+		}
+		if *r != *ref {
+			t.Fatalf("mean %v: stream positions differ", mean)
+		}
+	}
+}
+
+// TestPoissonFillRetriesAtOne covers the retry PoissonFill shares with
+// Float64Open: an output whose top 53 bits are all ones maps to exactly
+// 1, outside (0, 1), and is drawn again. The state is built so that its
+// next output is all ones (s1 solved through the inverses of the
+// output's multipliers 9 and 5).
+func TestPoissonFillRetriesAtOne(t *testing.T) {
+	inv := func(a uint64) uint64 { // a⁻¹ mod 2⁶⁴ for odd a, by Newton
+		x := a
+		for i := 0; i < 6; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	s1 := bits.RotateLeft64(math.MaxUint64*inv(9), -7) * inv(5)
+	r := &RNG{s0: 1, s1: s1, s2: 2, s3: 3}
+	if x, _ := r.Next(); x != math.MaxUint64 {
+		t.Fatalf("constructed state yields %#x, want all ones", x)
+	}
+	ref := *r
+	out := make([]int, 3)
+	r.PoissonFill(out, 2)
+	for i, got := range out {
+		if want := ref.Poisson(2); got != want {
+			t.Fatalf("variate %d: PoissonFill %d, Poisson %d", i, got, want)
+		}
+	}
+	if *r != ref {
+		t.Fatal("stream positions differ after the retried draw")
 	}
 }
 

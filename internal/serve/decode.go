@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -33,13 +34,32 @@ const maxBodyPrealloc = 1 << 20
 // body fails with an error that wraps io.EOF.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
 	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
-	if err == nil {
+	if limit, over := overLimit(err); over {
+		err = bodyTooLarge(limit)
+	} else if err == nil {
 		err = decodeRequest(body, into)
 	}
 	if err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
 	return nil
+}
+
+// overLimit reports whether err is http.MaxBytesReader's refusal, and
+// the limit it enforced.
+func overLimit(err error) (int64, bool) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return tooLarge.Limit, true
+	}
+	return 0, false
+}
+
+// bodyTooLarge is the refusal of a body longer than MaxBodyBytes. It
+// names the limit and the flag that sets it, where net/http says only
+// "request body too large".
+func bodyTooLarge(limit int64) error {
+	return fmt.Errorf("request body exceeds the %d-byte limit set by histd -max-body", limit)
 }
 
 // readBody reads src to its end into one buffer sized from the claimed

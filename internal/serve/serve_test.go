@@ -602,6 +602,40 @@ func TestStreamBatchOverloaded(t *testing.T) {
 	}
 }
 
+// TestBodyOverLimitNamesTheLimit: a JSON body longer than MaxBodyBytes
+// is a 400 on every JSON endpoint, and its message names the limit in
+// bytes and the histd flag that raises it, not just net/http's "request
+// body too large".
+func TestBodyOverLimitNamesTheLimit(t *testing.T) {
+	const limit = 1024
+	_, hs, c := newTestServer(t, noJanitor(serve.Config{Workers: 1, MaxBodyBytes: limit}))
+	info, err := c.CreateStream(context.Background(), client.StreamSpec{N: 100, K: 2, Eps: 0.5})
+	if err != nil {
+		t.Fatalf("creating stream: %v", err)
+	}
+	samples := strings.Repeat("1,", limit) + "1"
+	for _, path := range []string{
+		"/v1/test", "/v1/test/stream", "/v1/closeness", "/v1/samplers", "/v1/streams",
+		"/v1/streams/" + info.ID + "/test",
+	} {
+		body := `{"samples":[` + samples + `],"n":2,"k":2,"eps":0.5}`
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var wire client.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&wire)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("POST %s: decoding error body: %v", path, err)
+		}
+		want := "request body exceeds the 1024-byte limit set by histd -max-body"
+		if resp.StatusCode != http.StatusBadRequest || wire.Code != client.ErrCodeBadRequest || !strings.Contains(wire.Error, want) {
+			t.Errorf("POST %s: got %d/%s %q, want 400/%s containing %q", path, resp.StatusCode, wire.Code, wire.Error, client.ErrCodeBadRequest, want)
+		}
+	}
+}
+
 // TestBadRequests: the validation surface — every malformed request is
 // rejected before costing a queue slot, with the right status and code.
 func TestBadRequests(t *testing.T) {

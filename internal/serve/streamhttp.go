@@ -159,15 +159,21 @@ func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// countingReader tracks how many body bytes the decoder consumed.
+// countingReader tracks how many body bytes the decoder consumed, and
+// the limit, if the body ran past MaxBodyBytes: the decoders fold read
+// errors into their own messages.
 type countingReader struct {
-	r io.Reader
-	n int64
+	r     io.Reader
+	n     int64
+	limit int64
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
+	if limit, over := overLimit(err); over {
+		c.limit = limit
+	}
 	return n, err
 }
 
@@ -209,6 +215,9 @@ func (s *Server) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 	st.Touch(time.Now(), cr.n)
 	if err != nil {
 		iv.FormatErrors.Add(1)
+		if cr.limit > 0 {
+			err = bodyTooLarge(cr.limit)
+		}
 		s.failRequest(w, badReqf("%v (%d events applied before the error)", err, applied))
 		return
 	}

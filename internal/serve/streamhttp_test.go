@@ -1,8 +1,11 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -192,6 +195,52 @@ func TestStreamIngestValidation(t *testing.T) {
 	}
 	if ack.Events != 3 {
 		t.Fatalf("ingest applied %d events, want 3", ack.Events)
+	}
+}
+
+// TestStreamIngestOverLimit: an ingest body longer than MaxBodyBytes is
+// a 400 whose message names the limit in bytes and histd -max-body, and
+// says how many events were applied before the limit cut the body off
+// (ndjson and binary alike). The count must be what the stream holds.
+func TestStreamIngestOverLimit(t *testing.T) {
+	const limit = 1024
+	_, hs, c := newTestServer(t, noJanitor(serve.Config{Workers: 1, MaxBodyBytes: limit}))
+	ctx := context.Background()
+	frame := append(binary.AppendUvarint(nil, 2*limit), bytes.Repeat([]byte{7}, 2*limit)...)
+	for _, tc := range []struct {
+		name, ct string
+		body     []byte
+	}{
+		{"ndjson", "application/x-ndjson", []byte(strings.Repeat("7\n", limit))},
+		{"binary", "application/octet-stream", frame},
+	} {
+		info, err := c.CreateStream(ctx, client.StreamSpec{N: 100, K: 2, Eps: 0.5})
+		if err != nil {
+			t.Fatalf("%s: creating stream: %v", tc.name, err)
+		}
+		req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/streams/"+info.ID+"/events", bytes.NewReader(tc.body))
+		req.Header.Set("Content-Type", tc.ct)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: POST: %v", tc.name, err)
+		}
+		var wire client.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&wire)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding error body: %v", tc.name, err)
+		}
+		got, err := c.GetStream(ctx, info.ID)
+		if err != nil {
+			t.Fatalf("%s: reading stream: %v", tc.name, err)
+		}
+		want := fmt.Sprintf("request body exceeds the 1024-byte limit set by histd -max-body (%d events applied before the error)", got.TotalEvents)
+		if resp.StatusCode != http.StatusBadRequest || wire.Error != want {
+			t.Errorf("%s: got %d %q, want 400 %q", tc.name, resp.StatusCode, wire.Error, want)
+		}
+		if got.TotalEvents == 0 || got.TotalEvents >= limit {
+			t.Errorf("%s: %d events applied from a body cut at %d bytes", tc.name, got.TotalEvents, limit)
+		}
 	}
 }
 
