@@ -60,8 +60,9 @@ conformance:
 conformance-list:
 	$(GO) run ./cmd/histbench -conformance-list .
 
-# Full race-detector pass; the sieve fan-out in internal/core is the
-# main concurrent code path.
+# Full race-detector pass; the replicate driver (oracle.Fanout), which
+# runs the adk sieve and the closeness tester, is the main concurrent
+# code path.
 race:
 	$(GO) test -race ./...
 

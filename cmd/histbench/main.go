@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("histbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runIDs     = fs.String("run", "all", "comma-separated experiment IDs (E1..E14) or 'all'")
+		runIDs     = fs.String("run", "all", "comma-separated experiment IDs (E1..E15) or 'all'")
 		quick      = fs.Bool("quick", false, "smaller sweeps and trial counts")
 		seed       = fs.Uint64("seed", 1, "random seed")
 		csvDir     = fs.String("csv", "", "also write each table as CSV into this directory")

@@ -300,19 +300,3 @@ func TestFixed(o oracle.Oracle, r *rng.RNG, dstar dist.Distribution, g *interval
 	thr := params.AcceptFactor * m * eps * eps
 	return Result{Accept: z <= thr, Z: z, Threshold: thr, M: m, Drawn: drawn}
 }
-
-// TestAmplified repeats Test reps times and accepts on the majority vote,
-// boosting the 2/3 success probability to 1-δ with Θ(log 1/δ) reps
-// (the standard amplification invoked in Section 3.2.1).
-func TestAmplified(o oracle.Oracle, r *rng.RNG, dstar dist.Distribution, g *intervals.Domain, eps float64, params Params, reps int) bool {
-	if reps < 1 {
-		reps = 1
-	}
-	accepts := 0
-	for i := 0; i < reps; i++ {
-		if Test(o, r, dstar, g, eps, params).Accept {
-			accepts++
-		}
-	}
-	return 2*accepts > reps
-}

@@ -323,22 +323,6 @@ func TestFixedSamplingAgreesWithPoissonized(t *testing.T) {
 	}
 }
 
-func TestTestAmplified(t *testing.T) {
-	r := rng.New(9)
-	n := 128
-	d := dist.Uniform(n)
-	s := oracle.NewSampler(d, r)
-	wrong := 0
-	for i := 0; i < 30; i++ {
-		if !TestAmplified(s, r, d, fullDomain(n), 0.3, PracticalParams(), 9) {
-			wrong++
-		}
-	}
-	if wrong > 2 {
-		t.Fatalf("amplified tester failed %d/30 under the null", wrong)
-	}
-}
-
 func TestSampleAccounting(t *testing.T) {
 	r := rng.New(10)
 	n := 64

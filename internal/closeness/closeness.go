@@ -105,17 +105,3 @@ func Test(px, py oracle.Oracle, r *rng.RNG, eps float64, params Params) Result {
 	thr := params.ThresholdFactor * math.Sqrt(math.Max(occupied, 1))
 	return Result{Accept: z <= thr, Z: z, Threshold: thr, M: m, DrawnX: len(sx), DrawnY: len(sy)}
 }
-
-// TestAmplified repeats Test and takes the majority verdict.
-func TestAmplified(px, py oracle.Oracle, r *rng.RNG, eps float64, params Params, reps int) bool {
-	if reps < 1 {
-		reps = 1
-	}
-	accepts := 0
-	for i := 0; i < reps; i++ {
-		if Test(px, py, r, eps, params).Accept {
-			accepts++
-		}
-	}
-	return 2*accepts > reps
-}

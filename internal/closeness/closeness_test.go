@@ -124,22 +124,6 @@ func TestSampleMeanScaling(t *testing.T) {
 	}
 }
 
-func TestAmplifiedMajority(t *testing.T) {
-	r := rng.New(5)
-	d := dist.Uniform(256)
-	wrong := 0
-	for i := 0; i < 20; i++ {
-		px := oracle.NewSampler(d, r)
-		py := oracle.NewSampler(d, r)
-		if !TestAmplified(px, py, r, 0.3, DefaultParams(), 5) {
-			wrong++
-		}
-	}
-	if wrong > 2 {
-		t.Fatalf("amplified null failed %d/20", wrong)
-	}
-}
-
 func TestMismatchedDomainsPanic(t *testing.T) {
 	r := rng.New(6)
 	defer func() {

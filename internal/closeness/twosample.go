@@ -23,10 +23,12 @@
 //     on the reduced vectors — exactly the statistic in this package's
 //     one-shot Test, over K elements instead of n.
 //  3. Amplify — repeat stage 2 on fresh batches and take the majority
-//     verdict. Replicates fan out across Config.Workers when both
-//     oracles can fork; every replicate's randomness is split from r
-//     sequentially BEFORE any goroutine launches, so the verdict and all
-//     reported statistics are bit-identical at every worker count.
+//     verdict. The replicates run through oracle.Fanout, the driver the
+//     one-sample sieve uses: they fan out across Config.Workers when
+//     Reps > 1 and both oracles can fork, and every replicate's
+//     randomness is fixed before any goroutine starts, so the verdict
+//     and all reported statistics are bit-identical at every worker
+//     count.
 //
 // Per the corrigendum's "don't trust the constants" discipline, the
 // constants here are calibrated empirically (the seed-pinned operating-
@@ -39,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/intervals"
 	"repro/internal/learn"
@@ -192,24 +193,41 @@ type TwoSampleResult struct {
 }
 
 // Tester holds the reusable scratch of Run: per-replicate statistic and
-// threshold slots and the per-replicate RNG structs. Like core.Arena it
-// is not safe for concurrent use (the parallel replicates inside one Run
-// are fine: slots are disjoint), and reuse cannot change behavior — every
-// buffer is fully re-initialized per run and scratch management consumes
-// no randomness.
+// threshold slots and the replicate driver's RNG structs. Like core.Arena
+// it is not safe for concurrent use (the parallel replicates inside one
+// Run are fine: slots are disjoint), and reuse cannot change behavior —
+// every buffer is fully re-initialized per run and scratch management
+// consumes no randomness.
 type Tester struct {
-	zs     []float64
-	thrs   []float64
-	col    []float64
-	reprng []rng.RNG
-	forks  []twoSampleJob
+	zs    []float64
+	thrs  []float64
+	col   []float64
+	fan   oracle.Fanout
+	batch pairBatch // the replicate body, handed to fan by pointer
 }
 
-// twoSampleJob binds one replicate's forked oracles to its private RNG
-// streams.
-type twoSampleJob struct {
-	ox, oy oracle.Oracle
-	rx, ry *rng.RNG
+// pairBatch is the replicate body (oracle.Replicator): one Poissonized
+// batch of mean m per side, folded onto the refinement p and scored with
+// the [CDVV14] statistic into zs[i] and thrs[i]. It lives on the Tester
+// and goes to the driver as a pointer, so a run allocates nothing for
+// it. The slots are written once per replicate — two stores next to
+// kilosample batch draws, so (unlike the sieve's statistic rows) they
+// need no cache-line padding.
+type pairBatch struct {
+	m        float64
+	csX, csY oracle.CountStrategy
+	p        *intervals.Partition
+	chi      Params
+	zs, thrs []float64
+}
+
+// Replicate implements oracle.Replicator.
+func (b *pairBatch) Replicate(_, i int, src []oracle.Stream) {
+	cx := oracle.DrawCountsWith(src[0].O, src[0].R, b.m, b.csX)
+	cy := oracle.DrawCountsWith(src[1].O, src[1].R, b.m, b.csY)
+	b.zs[i], b.thrs[i] = reducedDecision(cx, cy, b.p, b.chi)
+	cy.Release()
+	cx.Release()
 }
 
 // NewTester returns an empty Tester ready to thread through Run calls.
@@ -223,14 +241,6 @@ func (t *Tester) grow(reps int) {
 		t.col = make([]float64, reps)
 	}
 	t.zs, t.thrs, t.col = t.zs[:reps], t.thrs[:reps], t.col[:reps]
-	if cap(t.reprng) < 2*reps {
-		t.reprng = make([]rng.RNG, 2*reps)
-	}
-	t.reprng = t.reprng[:2*reps]
-	if cap(t.forks) < reps {
-		t.forks = make([]twoSampleJob, reps)
-	}
-	t.forks = t.forks[:reps]
 }
 
 // TestTwoSample runs the DKN'17 two-sample tester on a fresh Tester. See
@@ -243,10 +253,10 @@ func TestTwoSample(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k int,
 // (accept) or distributions ε-far in total variation (reject), under the
 // promise that both are (close to) k-histograms. The verdict is a pure
 // function of (the oracles' streams, r's seed, k, eps, cfg) with
-// cfg.Workers excluded: parallel replicates split their randomness from
-// r sequentially before fan-out, so every worker count yields the
-// bit-identical result. Cancellation is honored between batches; every
-// pooled Counts is released on every path.
+// cfg.Workers excluded: the replicates run through oracle.Fanout, so
+// every worker count yields the bit-identical result. Cancellation is
+// honored between batches; every pooled Counts is released on every
+// path.
 func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k int, eps float64, cfg Config) (*TwoSampleResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -304,99 +314,11 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 	res.M = m
 	reps := cfg.reps()
 	t.grow(reps)
-
-	csX := oracle.EffectiveStrategy(px, cfg.CountStrategy)
-	csY := oracle.EffectiveStrategy(py, cfg.CountStrategy)
-
-	// replicate computes one [CDVV14] decision: a Poissonized batch per
-	// side, folded onto the refinement, scored with the χ² statistic.
-	// The z/thr slots are written once per replicate — two stores next
-	// to kilosample batch draws, so (unlike the sieve's statistic rows)
-	// the slices need no cache-line padding.
-	replicate := func(i int, ox, oy oracle.Oracle, rx, ry *rng.RNG) {
-		cx := oracle.DrawCountsWith(ox, rx, m, csX)
-		cy := oracle.DrawCountsWith(oy, ry, m, csY)
-		z, thr := reducedDecision(cx, cy, p, cfg.Chi)
-		cy.Release()
-		cx.Release()
-		t.zs[i] = z
-		t.thrs[i] = thr
-	}
-
-	// Fan out only when BOTH oracles can fork; otherwise the replicates
-	// run serially on the shared oracles in replicate order (replay and
-	// counts-replay streams are inherently serial), which is trivially
-	// worker-count independent.
-	fx, okx := forkable(px)
-	fy, oky := forkable(py)
-	if okx && oky {
-		// Determinism contract: every replicate's randomness — two
-		// streams, side X then side Y — is split from r sequentially
-		// BEFORE any goroutine launches.
-		for i := 0; i < reps; i++ {
-			rx, ry := &t.reprng[2*i], &t.reprng[2*i+1]
-			r.SplitInto(rx)
-			r.SplitInto(ry)
-			t.forks[i] = twoSampleJob{ox: fx.Fork(rx), oy: fy.Fork(ry), rx: rx, ry: ry}
-		}
-		workers := cfg.Workers
-		if workers > reps {
-			workers = reps
-		}
-		if workers <= 1 {
-			for i := 0; i < reps; i++ {
-				if ctx.Err() != nil {
-					break
-				}
-				j := t.forks[i]
-				replicate(i, j.ox, j.oy, j.rx, j.ry)
-			}
-		} else {
-			// Deterministic chunked assignment, as in the core sieve:
-			// worker w owns the contiguous replicate range — the schedule
-			// is a pure function of (reps, workers) and claim order never
-			// mattered for determinism anyway.
-			chunk := (reps + workers - 1) / workers
-			var wg sync.WaitGroup
-			for lo := 0; lo < reps; lo += chunk {
-				hi := lo + chunk
-				if hi > reps {
-					hi = reps
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						if ctx.Err() != nil {
-							return
-						}
-						j := t.forks[i]
-						replicate(i, j.ox, j.oy, j.rx, j.ry)
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
-		// Fold clone draws back so budget accounting stays exact — on
-		// the cancellation path too.
-		var drawnX, drawnY int64
-		for i := 0; i < reps; i++ {
-			drawnX += t.forks[i].ox.Samples()
-			drawnY += t.forks[i].oy.Samples()
-			t.forks[i] = twoSampleJob{} // release fork references
-		}
-		fx.Absorb(drawnX)
-		fy.Absorb(drawnY)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := 0; i < reps; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			replicate(i, px, py, r, r)
-		}
+	t.batch = pairBatch{m: m, p: p, chi: cfg.Chi, zs: t.zs, thrs: t.thrs,
+		csX: oracle.EffectiveStrategy(px, cfg.CountStrategy),
+		csY: oracle.EffectiveStrategy(py, cfg.CountStrategy)}
+	if _, err := t.fan.Run(ctx, r, reps, cfg.Workers, &t.batch, px, py); err != nil {
+		return nil, err
 	}
 
 	accepts := 0
@@ -419,15 +341,6 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 	res.SamplesY = py.Samples() - markY
 	res.TestSamples = res.SamplesX + res.SamplesY - res.PartitionSamples
 	return res, nil
-}
-
-// forkable reports whether o supports cloning for parallel replicates.
-func forkable(o oracle.Oracle) (oracle.Forker, bool) {
-	f, ok := o.(oracle.Forker)
-	if !ok || !f.CanFork() {
-		return nil, false
-	}
-	return f, true
 }
 
 // reducedDecision folds the two full-domain count vectors onto the

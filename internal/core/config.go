@@ -125,8 +125,8 @@ type Config struct {
 	// sampler workloads; counts are distributionally identical, and
 	// per-seed decisions differ while operating characteristics agree
 	// (see DESIGN.md "Count generation"). Oracles without the capability
-	// (Replay, Source adapters, Permuted/Conditional wrappers) always
-	// fall back to the exact per-draw path.
+	// (Replay, Source adapters, the Permuted wrapper) always fall back
+	// to the exact per-draw path.
 	CountStrategy oracle.CountStrategy
 
 	// SkipCheck disables the Step-10 DP check (the "Checking" stage of

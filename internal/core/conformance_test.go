@@ -96,13 +96,25 @@ func TestConformanceUnknownEngineDrawsNothing(t *testing.T) {
 	}
 }
 
+// conformanceSieveReps lists the SieveReps values the battery runs an
+// engine at: the practical preset's 1, whose sieve never forks, and for
+// adk also 5, which fans the sieve replicates out over forks (cdkl22 has
+// no sieve).
+func conformanceSieveReps(engine string) []int {
+	if engine == "adk" {
+		return []int{1, 5}
+	}
+	return []int{1}
+}
+
 // engineRun runs one observed Test with the given engine and returns the
 // recorder, the realized draw count, and the result.
-func engineRun(t *testing.T, engine string, d dist.Distribution, k int, eps float64, workers int, cs oracle.CountStrategy, seed uint64) (*obs.TraceRecorder, int64, *Result) {
+func engineRun(t *testing.T, engine string, d dist.Distribution, k int, eps float64, sieveReps, workers int, cs oracle.CountStrategy, seed uint64) (*obs.TraceRecorder, int64, *Result) {
 	t.Helper()
 	rec := obs.NewTraceRecorder()
 	cfg := PracticalConfig()
 	cfg.Engine = engine
+	cfg.SieveReps = sieveReps
 	cfg.Workers = workers
 	cfg.CountStrategy = cs
 	cfg.Observer = rec
@@ -124,19 +136,21 @@ func TestConformanceBudgetConservation(t *testing.T) {
 	for _, engine := range conformanceTargets(t) {
 		t.Run(engine, func(t *testing.T) {
 			for _, cs := range []oracle.CountStrategy{oracle.CountExact, oracle.CountClosedForm} {
-				for _, workers := range []int{1, 4} {
-					rec, drawn, res := engineRun(t, engine, threeHistogram(512), 3, 0.5, workers, cs, 41)
-					runs := rec.Runs()
-					if len(runs) != 1 {
-						t.Fatalf("cs=%v workers=%d: %d runs recorded", cs, workers, len(runs))
-					}
-					var sum int64
-					for _, v := range rec.StageSamples(runs[0]) {
-						sum += v
-					}
-					if sum != drawn || sum != res.Trace.TotalSamples() {
-						t.Fatalf("cs=%v workers=%d: stage sum %d, oracle drew %d, Trace totals %d",
-							cs, workers, sum, drawn, res.Trace.TotalSamples())
+				for _, reps := range conformanceSieveReps(engine) {
+					for _, workers := range []int{1, 4} {
+						rec, drawn, res := engineRun(t, engine, threeHistogram(512), 3, 0.5, reps, workers, cs, 41)
+						runs := rec.Runs()
+						if len(runs) != 1 {
+							t.Fatalf("cs=%v reps=%d workers=%d: %d runs recorded", cs, reps, workers, len(runs))
+						}
+						var sum int64
+						for _, v := range rec.StageSamples(runs[0]) {
+							sum += v
+						}
+						if sum != drawn || sum != res.Trace.TotalSamples() {
+							t.Fatalf("cs=%v reps=%d workers=%d: stage sum %d, oracle drew %d, Trace totals %d",
+								cs, reps, workers, sum, drawn, res.Trace.TotalSamples())
+						}
 					}
 				}
 			}
@@ -158,15 +172,17 @@ func TestConformanceWorkerDeterminism(t *testing.T) {
 				{"accept", threeHistogram(512), 3},
 				{"reject", comb(512), 4},
 			} {
-				var base *Result
-				for _, workers := range []int{1, 2, 4, 0} {
-					_, _, res := engineRun(t, engine, d.d, d.k, 0.5, workers, oracle.CountExact, 67)
-					if base == nil {
-						base = res
-						continue
-					}
-					if res.Accept != base.Accept || !reflect.DeepEqual(res.Trace, base.Trace) {
-						t.Fatalf("%s: workers=%d diverged:\n  got  %+v\n  want %+v", d.name, workers, res.Trace, base.Trace)
+				for _, reps := range conformanceSieveReps(engine) {
+					var base *Result
+					for _, workers := range []int{1, 2, 4, 0} {
+						_, _, res := engineRun(t, engine, d.d, d.k, 0.5, reps, workers, oracle.CountExact, 67)
+						if base == nil {
+							base = res
+							continue
+						}
+						if res.Accept != base.Accept || !reflect.DeepEqual(res.Trace, base.Trace) {
+							t.Fatalf("%s: reps=%d workers=%d diverged:\n  got  %+v\n  want %+v", d.name, reps, workers, res.Trace, base.Trace)
+						}
 					}
 				}
 			}
@@ -190,7 +206,7 @@ func TestConformanceEventGrammar(t *testing.T) {
 				{"accept", threeHistogram(512), 3},
 				{"reject", comb(512), 4},
 			} {
-				rec, _, res := engineRun(t, engine, d.d, d.k, 0.5, 0, oracle.CountExact, 61)
+				rec, _, res := engineRun(t, engine, d.d, d.k, 0.5, 1, 0, oracle.CountExact, 61)
 				evs := rec.Events()
 				if evs[0].Kind != obs.KindRunStart || evs[0].N != 512 || evs[0].K != d.k || evs[0].Eps != 0.5 {
 					t.Fatalf("%s: RunStart = %+v", d.name, evs[0])
@@ -260,43 +276,46 @@ func TestConformanceCancellationAtEveryEvent(t *testing.T) {
 	}
 	for _, engine := range conformanceTargets(t) {
 		t.Run(engine, func(t *testing.T) {
-			rec, _, _ := engineRun(t, engine, threeHistogram(512), 3, 0.5, 4, oracle.CountExact, 53)
-			events := len(rec.Events())
-			surfaced := 0
-			for at := 0; at < events; at++ {
-				ctx, cancel := context.WithCancel(context.Background())
-				cfg := PracticalConfig()
-				cfg.Engine = engine
-				cfg.Workers = 4
-				cfg.Observer = &cancelAtEvent{cancel: cancel, at: int64(at)}
-				rec := obs.NewTraceRecorder()
-				cfg.Observer = obs.Multi(rec, cfg.Observer)
-				r := rng.New(53)
-				s := oracle.NewSampler(threeHistogram(512), r)
-				before := oracle.PoolStatsSnapshot()
-				res, err := TestContext(ctx, s, r, 3, 0.5, cfg)
-				after := oracle.PoolStatsSnapshot()
-				cancel()
-				if acq, rel := after.Acquires-before.Acquires, after.Releases-before.Releases; acq != rel {
-					t.Fatalf("cancel@%d: leaked pooled Counts: %d acquired, %d released", at, acq, rel)
+			for _, reps := range conformanceSieveReps(engine) {
+				rec, _, _ := engineRun(t, engine, threeHistogram(512), 3, 0.5, reps, 4, oracle.CountExact, 53)
+				events := len(rec.Events())
+				surfaced := 0
+				for at := 0; at < events; at++ {
+					ctx, cancel := context.WithCancel(context.Background())
+					cfg := PracticalConfig()
+					cfg.Engine = engine
+					cfg.SieveReps = reps
+					cfg.Workers = 4
+					cfg.Observer = &cancelAtEvent{cancel: cancel, at: int64(at)}
+					rec := obs.NewTraceRecorder()
+					cfg.Observer = obs.Multi(rec, cfg.Observer)
+					r := rng.New(53)
+					s := oracle.NewSampler(threeHistogram(512), r)
+					before := oracle.PoolStatsSnapshot()
+					res, err := TestContext(ctx, s, r, 3, 0.5, cfg)
+					after := oracle.PoolStatsSnapshot()
+					cancel()
+					if acq, rel := after.Acquires-before.Acquires, after.Releases-before.Releases; acq != rel {
+						t.Fatalf("reps=%d cancel@%d: leaked pooled Counts: %d acquired, %d released", reps, at, acq, rel)
+					}
+					if err != nil {
+						if !errors.Is(err, context.Canceled) {
+							t.Fatalf("reps=%d cancel@%d: err = %v, want context.Canceled", reps, at, err)
+						}
+						if res != nil {
+							t.Fatalf("reps=%d cancel@%d: cancelled run returned a result", reps, at)
+						}
+						evs := rec.Events()
+						last := evs[len(evs)-1]
+						if last.Kind != obs.KindRunEnd || last.Err == "" {
+							t.Fatalf("reps=%d cancel@%d: stream ends with %v (err %q), want RunEnd with error", reps, at, last.Kind, last.Err)
+						}
+						surfaced++
+					}
 				}
-				if err != nil {
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("cancel@%d: err = %v, want context.Canceled", at, err)
-					}
-					if res != nil {
-						t.Fatalf("cancel@%d: cancelled run returned a result", at)
-					}
-					evs := rec.Events()
-					last := evs[len(evs)-1]
-					if last.Kind != obs.KindRunEnd || last.Err == "" {
-						t.Fatalf("cancel@%d: stream ends with %v (err %q), want RunEnd with error", at, last.Kind, last.Err)
-					}
-					surfaced++
+				if surfaced == 0 {
+					t.Fatalf("reps=%d: no cancellation point surfaced ctx.Err() in %d events", reps, events)
 				}
-			}
-			if surfaced == 0 {
-				t.Fatalf("no cancellation point surfaced ctx.Err() in %d events", events)
 			}
 		})
 	}

@@ -81,36 +81,32 @@ type Result struct {
 type Arena struct {
 	med    [][]float64 // reps × K replicate statistics (rows into medBuf)
 	medBuf []float64
-	zs     []float64   // per-interval medians
-	col    []float64   // reps-length median scratch column
-	keep   []bool      // sieve keep mask
-	order  []int       // removal ordering / heavy-index scratch
-	reprng []rng.RNG   // per-replicate RNG structs, re-split every round
-	jobs   []replicate // per-replicate fork bindings
+	zs     []float64 // per-interval medians
+	col    []float64 // reps-length median scratch column
+	keep   []bool    // sieve keep mask
+	order  []int     // removal ordering / heavy-index scratch
+	fan    oracle.Fanout
+	batch  sieveBatch // the sieve's replicate body, handed to fan by pointer
 
 	// Observability state of the in-flight TestContext call. A nil ob is
 	// the zero-overhead fast path: no events, no clock reads, no extra
 	// allocations. The fields live on the Arena (not in closures) so
 	// attaching an observer adds no captures — and therefore no heap
-	// cells — to the hot-path closures. obDense/obSparse tally the
-	// current sieve round's counting-path choices; they are written only
-	// single-threaded (serial batches tally directly, parallel batches
-	// tally into per-worker obTally slots merged after the join), so no
-	// atomics sit on the batch path.
-	ob                    obs.Observer
-	obRun                 uint64
-	obStart               time.Time
-	obDense, obSparse     int64
-	obExact, obClosedForm int64
-	obWorkers             int
-	obTallies             []obTally // per-worker round tallies (parallel sieve only)
+	// cells — to the hot-path closures. Every sieve replicate tallies its
+	// counting-path choices into its goroutine's obTally slot, serial
+	// runs into slot 0, and emitRound sums the obWorkers slots the round
+	// used, so no atomics sit on the batch path.
+	ob        obs.Observer
+	obRun     uint64
+	obStart   time.Time
+	obWorkers int       // goroutines the current sieve round ran on
+	obTallies []obTally // per-goroutine round tallies
 }
 
-// obTally is one worker's private counting-path tally for the current
+// obTally is one goroutine's private counting-path tally for the current
 // sieve round. The four counters occupy 32 bytes; the pad keeps each
-// worker's slot on its own 64-byte cache line, so concurrent workers
-// tallying every batch never false-share the way four adjacent atomics
-// on the Arena did.
+// slot on its own 64-byte cache line, so concurrent workers tallying
+// every batch never false-share.
 type obTally struct {
 	dense, sparse, exact, closedForm int64
 	_                                [32]byte
@@ -130,13 +126,6 @@ func (t *obTally) batch(counts *oracle.Counts, cs oracle.CountStrategy) {
 	} else {
 		t.exact++
 	}
-}
-
-// replicate pairs a forked oracle with its private RNG stream for one
-// sieve batch.
-type replicate struct {
-	o oracle.Oracle
-	r *rng.RNG
 }
 
 // NewArena returns an empty Arena ready to thread through Test calls.
@@ -173,14 +162,12 @@ func (a *Arena) grow(K, reps int) {
 		a.med = make([][]float64, reps)
 	}
 	a.med = a.med[:reps]
-	if cap(a.reprng) < reps {
-		a.reprng = make([]rng.RNG, reps)
+	if a.ob != nil {
+		if cap(a.obTallies) < reps {
+			a.obTallies = make([]obTally, reps)
+		}
+		a.obTallies = a.obTallies[:reps]
 	}
-	a.reprng = a.reprng[:reps]
-	if cap(a.jobs) < reps {
-		a.jobs = make([]replicate, reps)
-	}
-	a.jobs = a.jobs[:reps]
 	for t := 0; t < reps; t++ {
 		// Zero-length rows with disjoint capacity windows: each replicate
 		// appends its K statistics into its own region, so the parallel
@@ -208,6 +195,13 @@ func (a *Arena) emitRound(o oracle.Oracle, round, removed, reps int, sampMark in
 	if a.ob == nil {
 		return
 	}
+	var sum obTally
+	for _, t := range a.obTallies[:a.obWorkers] {
+		sum.dense += t.dense
+		sum.sparse += t.sparse
+		sum.exact += t.exact
+		sum.closedForm += t.closedForm
+	}
 	ps := oracle.PoolStatsSnapshot()
 	a.emit(obs.Event{
 		Kind:       obs.KindSieveRound,
@@ -217,31 +211,13 @@ func (a *Arena) emitRound(o oracle.Oracle, round, removed, reps int, sampMark in
 		Samples:    o.Samples() - sampMark,
 		Workers:    a.obWorkers,
 		Replicates: reps,
-		Dense:      int(a.obDense),
-		Sparse:     int(a.obSparse),
-		Exact:      int(a.obExact),
-		ClosedForm: int(a.obClosedForm),
+		Dense:      int(sum.dense),
+		Sparse:     int(sum.sparse),
+		Exact:      int(sum.exact),
+		ClosedForm: int(sum.closedForm),
 		PoolHits:   ps.Hits - poolMark.Hits,
 		PoolMisses: ps.Misses - poolMark.Misses,
 	})
-}
-
-// obBatch tallies one replicate batch's counting-path (dense/sparse
-// backing) and count-synthesis strategy for the current sieve round.
-// Only called with an observer attached, and only from single-threaded
-// batch loops — parallel workers tally into their private obTally slot
-// instead, merged after the round's join.
-func (a *Arena) obBatch(counts *oracle.Counts, cs oracle.CountStrategy) {
-	if counts.Dense() {
-		a.obDense++
-	} else {
-		a.obSparse++
-	}
-	if cs == oracle.CountClosedForm {
-		a.obClosedForm++
-	} else {
-		a.obExact++
-	}
 }
 
 // fail emits the RunEnd failure event (cancellations included) and

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/chisq"
+	"repro/internal/dist"
 	"repro/internal/histdp"
 	"repro/internal/intervals"
 	"repro/internal/learn"
@@ -38,6 +38,30 @@ type adkEngine struct{}
 
 // Name implements Engine.
 func (adkEngine) Name() string { return "adk" }
+
+// sieveBatch is the sieve's replicate body (oracle.Replicator): one
+// Poissonized batch of mean m, scored per interval of p on the sieved
+// domain g into med[t]. It lives on the Arena and goes to the driver as
+// a pointer, so a sieve round allocates nothing for it.
+type sieveBatch struct {
+	m, tau  float64
+	cs      oracle.CountStrategy
+	dhat    *dist.PiecewiseConstant
+	p       *intervals.Partition
+	g       *intervals.Domain
+	med     [][]float64
+	tallies []obTally // one slot per goroutine; nil without an observer
+}
+
+// Replicate implements oracle.Replicator.
+func (b *sieveBatch) Replicate(slot, t int, src []oracle.Stream) {
+	counts := oracle.DrawCountsWith(src[0].O, src[0].R, b.m, b.cs)
+	if b.tallies != nil {
+		b.tallies[slot].batch(counts, b.cs)
+	}
+	b.med[t] = chisq.ZPerIntervalInto(b.med[t][:0], counts, b.dhat, b.p, b.g, b.m, b.tau)
+	counts.Release()
+}
 
 // ExpectedSamples implements Engine: the Theorem 3.1 accounting —
 // partition + learn + sieve reps×(rounds+1) batches + final test.
@@ -114,152 +138,32 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 	}
 
 	// The reps replicates per sieve decision are independent Poissonized
-	// batches (the median-amplification trick of §3.2.1), so they fan out
-	// across workers when the oracle supports cloning. Replay and
-	// Source-backed oracles cannot be cloned (their streams are inherently
-	// serial) and keep the exact legacy draw order. Determinism contract:
-	// each replicate's randomness is a sequential Split of r taken BEFORE
-	// any goroutine launches, so the decision and Trace are bit-identical
-	// for every Workers value.
-	workers := cfg.workers()
-	var forker oracle.Forker
-	if f, ok := o.(oracle.Forker); ok && reps > 1 && f.CanFork() {
-		forker = f
-	}
-
-	// Resolve the count-synthesis strategy once against the parent oracle:
+	// batches (the median-amplification trick of §3.2.1), run by
+	// oracle.Fanout: bit-identical at every Workers value. The count-
+	// synthesis strategy is resolved once against the parent oracle:
 	// forks preserve the CountDrawer capability (a Sampler forks to a
 	// Sampler), so the resolution holds for every replicate clone, and the
 	// per-batch observability tallies can attribute without re-asserting.
+	workers := cfg.workers()
 	countStrat := oracle.EffectiveStrategy(o, cfg.CountStrategy)
+	a.batch = sieveBatch{m: mSieve, tau: tau, cs: countStrat, dhat: dhat, p: p, med: a.med}
+	if a.ob != nil {
+		a.batch.tallies = a.obTallies
+	}
 
 	// computeZs draws fresh Poissonized samples reps times and returns the
 	// per-interval medians (in a.zs, overwritten per call). The replicate
 	// statistic rows, the median column, and the Poissonized count buffers
-	// (via the oracle pool) are all recycled round over round. The context
-	// is checked before every batch draw; batches already in flight finish
-	// and release their pooled buffers before the cancellation error
-	// surfaces, and clone draws are always folded back into o's counter.
+	// (via the oracle pool) are all recycled round over round.
 	computeZs := func() ([]float64, error) {
-		g := domain()
-		med := a.med
-		if a.ob != nil {
-			a.obDense, a.obSparse = 0, 0
-			a.obExact, a.obClosedForm = 0, 0
+		a.batch.g = domain()
+		clear(a.batch.tallies)
+		var err error
+		a.obWorkers, err = a.fan.Run(ctx, r, reps, workers, &a.batch, o)
+		if err != nil {
+			return nil, err
 		}
-		a.obWorkers = 1
-		if forker != nil {
-			jobs := a.jobs
-			for t := range jobs {
-				// Re-split into the scratch RNG structs: stream-identical to
-				// a fresh Split, without the per-round allocations.
-				rt := &a.reprng[t]
-				r.SplitInto(rt)
-				jobs[t] = replicate{o: forker.Fork(rt), r: rt}
-			}
-			// tally is nil on the serial path (obBatch bumps the Arena
-			// fields directly) and a worker-private padded slot on the
-			// parallel path.
-			run := func(t int, tally *obTally) {
-				counts := oracle.DrawCountsWith(jobs[t].o, jobs[t].r, mSieve, countStrat)
-				if tally != nil {
-					tally.batch(counts, countStrat)
-				} else if a.ob != nil {
-					a.obBatch(counts, countStrat)
-				}
-				med[t] = chisq.ZPerIntervalInto(med[t][:0], counts, dhat, p, g, mSieve, tau)
-				counts.Release()
-			}
-			var runErr error
-			if w := min(workers, reps); w <= 1 {
-				for t := range jobs {
-					if runErr = ctx.Err(); runErr != nil {
-						break
-					}
-					run(t, nil)
-				}
-			} else {
-				// Deterministic chunked assignment: worker i owns the
-				// contiguous replicate range [i·chunk, (i+1)·chunk). The old
-				// shared atomic claim counter cost one contended CAS per
-				// replicate and bounced its cache line across every worker;
-				// chunking removes the shared word entirely. Claim order was
-				// never what made the sieve deterministic — each replicate's
-				// RNG stream is split from r sequentially before any
-				// goroutine launches — so assignment shape is free to choose
-				// for locality: adjacent replicates (adjacent med rows) stay
-				// on the same worker.
-				//
-				// With reps not a multiple of w the trailing chunk(s) are
-				// empty (e.g. reps=5, w=4 → chunk=2 covers everything in 3
-				// chunks), so nw — the goroutines actually launched — can be
-				// smaller than w; it is what the observer round event reports.
-				chunk := (reps + w - 1) / w
-				nw := (reps + chunk - 1) / chunk
-				a.obWorkers = nw
-				var tallies []obTally
-				if a.ob != nil {
-					if cap(a.obTallies) < nw {
-						a.obTallies = make([]obTally, nw)
-					}
-					tallies = a.obTallies[:nw]
-					for i := range tallies {
-						tallies[i] = obTally{}
-					}
-				}
-				var wg sync.WaitGroup
-				for i := 0; i < nw; i++ {
-					lo := i * chunk
-					hi := min(lo+chunk, reps)
-					var tally *obTally
-					if tallies != nil {
-						tally = &tallies[i]
-					}
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for t := lo; t < hi; t++ {
-							if ctx.Err() != nil {
-								return
-							}
-							run(t, tally)
-						}
-					}()
-				}
-				wg.Wait()
-				runErr = ctx.Err()
-				for i := range tallies {
-					a.obDense += tallies[i].dense
-					a.obSparse += tallies[i].sparse
-					a.obExact += tallies[i].exact
-					a.obClosedForm += tallies[i].closedForm
-				}
-			}
-			// Fold the per-replicate draw counters back into the parent so
-			// Trace accounting stays exact — on the cancellation path too.
-			var drawn int64
-			for t := range jobs {
-				drawn += jobs[t].o.Samples()
-			}
-			forker.Absorb(drawn)
-			if runErr != nil {
-				return nil, runErr
-			}
-		} else {
-			for t := 0; t < reps; t++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				counts := oracle.DrawCountsWith(o, r, mSieve, countStrat)
-				if a.ob != nil {
-					a.obBatch(counts, countStrat)
-				}
-				med[t] = chisq.ZPerIntervalInto(med[t][:0], counts, dhat, p, g, mSieve, tau)
-				counts.Release()
-			}
-		}
-		zs := a.zs
-		col := a.col
+		med, zs, col := a.med, a.zs, a.col
 		for j := 0; j < K; j++ {
 			for t := 0; t < reps; t++ {
 				col[t] = med[t][j]

@@ -143,12 +143,6 @@ func (cdklEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG
 	tau := cfg.Chi.TruncFactor * epsF / float64(n)
 	countStrat := oracle.EffectiveStrategy(o, cfg.CountStrategy)
 	counts := oracle.DrawCountsWith(o, r, m, countStrat)
-	if a.ob != nil {
-		a.obDense, a.obSparse = 0, 0
-		a.obExact, a.obClosedForm = 0, 0
-		a.obWorkers = 1
-		a.obBatch(counts, countStrat)
-	}
 	a.grow(K, 1)
 	zs := chisq.ZPerIntervalInto(a.med[0][:0], counts, dhat, p, g, m, tau)
 	counts.Release()

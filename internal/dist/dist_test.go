@@ -512,8 +512,8 @@ func TestConditional(t *testing.T) {
 }
 
 func TestConditionalMatchesOracleView(t *testing.T) {
-	// The conditional distribution is what oracle.Conditional samples:
-	// spot-check per-element proportions on a random instance.
+	// The conditional distribution is what rejection sampling into g
+	// yields: spot-check per-element proportions on a random instance.
 	r := rng.New(27)
 	d := randomPC(r, 60, 6)
 	g := intervals.NewDomain(60, []intervals.Interval{{Lo: 10, Hi: 25}, {Lo: 40, Hi: 55}})

@@ -148,9 +148,9 @@ func MixPC(alpha float64, a, b *PiecewiseConstant) *PiecewiseConstant {
 }
 
 // Conditional returns the distribution of d conditioned on the sub-domain
-// g: d's mass inside g renormalized, zero outside — the distributional
-// counterpart of oracle.Conditional. It panics if g carries no mass
-// under d.
+// g: d's mass inside g renormalized, zero outside — what rejection
+// sampling d until a draw lands in g yields. It panics if g carries no
+// mass under d.
 func Conditional(d Distribution, g *intervals.Domain) *Dense {
 	mass := DomainMass(d, g)
 	if mass <= 0 {

@@ -4,16 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/closeness"
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/oracle"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // --- E15: two-sample closeness — DKN'17 reduction vs naive full-domain CDVV14 ---
@@ -115,12 +111,9 @@ func naiveMethod() twoSampleMethod {
 // pairRate estimates a method's accept rate on a two-sample workload:
 // trials fan out across GOMAXPROCS workers with every trial's randomness
 // (instance, two sampler streams, tester stream) pre-split from r, so the
-// estimate is deterministic per seed at any core count — the same
-// discipline as AcceptRate.
+// estimate is deterministic per seed at any core count. It shares
+// trialRate with AcceptRate.
 func pairRate(ctx context.Context, m twoSampleMethod, inst pairInstance, k int, eps float64, trials int, scale float64, r *rng.RNG) (RateResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	type trial struct {
 		dx, dy dist.Distribution
 		rx, ry *rng.RNG
@@ -131,54 +124,11 @@ func pairRate(ctx context.Context, m twoSampleMethod, inst pairInstance, k int, 
 		dx, dy := inst(r)
 		jobs[i] = trial{dx: dx, dy: dy, rx: r.Split(), ry: r.Split(), tester: r.Split()}
 	}
-
-	accepts := make([]bool, trials)
-	samples := make([]int64, trials)
-	errs := make([]error, trials)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > trials {
-		workers = trials
-	}
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= trials || ctx.Err() != nil {
-					return
-				}
-				px := samplerFor(jobs[i].dx, jobs[i].rx)
-				py := samplerFor(jobs[i].dy, jobs[i].ry)
-				accepts[i], samples[i], errs[i] = m.run(ctx, px, py, jobs[i].tester, k, eps, scale)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return RateResult{}, err
-	}
-	acceptCount := 0
-	var total int64
-	for i := 0; i < trials; i++ {
-		if errs[i] != nil {
-			return RateResult{}, errs[i]
-		}
-		if accepts[i] {
-			acceptCount++
-		}
-		total += samples[i]
-	}
-	lo, hi := stats.Wilson(acceptCount, trials, 1.96)
-	return RateResult{
-		Rate:       float64(acceptCount) / float64(trials),
-		Lo:         lo,
-		Hi:         hi,
-		Trials:     trials,
-		AvgSamples: float64(total) / float64(trials),
-	}, nil
+	return trialRate(ctx, trials, func(ctx context.Context, i int) (bool, int64, error) {
+		px := samplerFor(jobs[i].dx, jobs[i].rx)
+		py := samplerFor(jobs[i].dy, jobs[i].ry)
+		return m.run(ctx, px, py, jobs[i].tester, k, eps, scale)
+	})
 }
 
 // minimalPairScale is MinimalScale for two-sample methods: the smallest

@@ -53,9 +53,6 @@ func (rr RateResult) String() string {
 // in-flight ones at their testers' next context check, and returns
 // ctx.Err(); nil means context.Background().
 func AcceptRate(ctx context.Context, tester baselines.Tester, inst Instance, k int, eps float64, trials int, r *rng.RNG) (RateResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	type trial struct {
 		d         dist.Distribution
 		sampleRNG *rng.RNG
@@ -65,33 +62,38 @@ func AcceptRate(ctx context.Context, tester baselines.Tester, inst Instance, k i
 	for i := range jobs {
 		jobs[i] = trial{d: inst(r), sampleRNG: r.Split(), testerRNG: r.Split()}
 	}
+	return trialRate(ctx, trials, func(ctx context.Context, i int) (bool, int64, error) {
+		dec, err := tester.Run(ctx, samplerFor(jobs[i].d, jobs[i].sampleRNG), jobs[i].testerRNG, k, eps)
+		return dec.Accept, dec.Samples, err
+	})
+}
 
+// trialRate runs trial(ctx, i) for every i in [0, trials) across
+// GOMAXPROCS workers and folds the outcomes into a RateResult. Workers
+// claim trials from a shared counter; callers pre-split every trial's
+// randomness, so the claim order cannot change the estimate. A cancelled
+// ctx stops claiming new trials and returns ctx.Err(); otherwise the
+// first failed trial in index order returns its error. A nil ctx means
+// context.Background().
+func trialRate(ctx context.Context, trials int, trial func(ctx context.Context, i int) (accept bool, samples int64, err error)) (RateResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	accepts := make([]bool, trials)
 	samples := make([]int64, trials)
 	errs := make([]error, trials)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > trials {
-		workers = trials
-	}
 	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
+	var next atomic.Int64
+	for range min(runtime.GOMAXPROCS(0), trials) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&next, 1))
+				i := int(next.Add(1) - 1)
 				if i >= trials || ctx.Err() != nil {
 					return
 				}
-				s := samplerFor(jobs[i].d, jobs[i].sampleRNG)
-				dec, err := tester.Run(ctx, s, jobs[i].testerRNG, k, eps)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				accepts[i] = dec.Accept
-				samples[i] = dec.Samples
+				accepts[i], samples[i], errs[i] = trial(ctx, i)
 			}
 		}()
 	}

@@ -30,7 +30,7 @@ type Oracle interface {
 }
 
 // Forker is an Oracle that can spawn independent clones for concurrent
-// batch drawing (the parallel sieve replicates of core.Test). Fork returns
+// batch drawing (the replicates Fanout runs in parallel). Fork returns
 // a clone with private randomness and a zeroed sample counter; the clone
 // may be drawn from concurrently with other clones (but every individual
 // oracle remains non-concurrency-safe on its own). Fork returns nil when
@@ -138,9 +138,9 @@ func ParseCountStrategy(s string) (CountStrategy, error) {
 // CountDrawer is an Oracle that can synthesize a Poissonized count vector
 // in closed form, without drawing the underlying samples one at a time.
 // Only oracles that KNOW their distribution (the alias-table Sampler) can
-// implement it; wrappers that reshape the sample stream (Permuted,
-// Conditional) and data-backed oracles (Replay, Source adapters) cannot,
-// and take the per-draw fallback in DrawCountsWith.
+// implement it; wrappers that reshape the sample stream (Permuted) and
+// data-backed oracles (Replay, Source adapters) cannot, and take the
+// per-draw fallback in DrawCountsWith.
 type CountDrawer interface {
 	Oracle
 	// DrawPoissonCountsClosedForm returns a pooled count vector whose
@@ -610,81 +610,6 @@ func (p *Permuted) Absorb(drawn int64) {
 }
 
 var _ Forker = (*Permuted)(nil)
-
-// Conditional restricts an oracle to a sub-domain by rejection sampling:
-// Draw retries until the inner sample lands in the domain — the
-// "conditional sampling" view used when testers reason about D restricted
-// to an interval (e.g. the per-interval flatness tests of [ILR12]).
-// Samples() counts INNER draws, so budget accounting reflects the true
-// cost including rejections.
-type Conditional struct {
-	inner    Oracle
-	domain   *intervals.Domain
-	maxRetry int
-}
-
-var _ Oracle = (*Conditional)(nil)
-
-// NewConditional wraps inner restricted to domain. maxRetry bounds the
-// rejection loop (0 means 1e6); Draw panics if it is exhausted, which
-// only happens when the domain carries (near-)zero mass.
-func NewConditional(inner Oracle, domain *intervals.Domain, maxRetry int) (*Conditional, error) {
-	if domain.N() != inner.N() {
-		return nil, fmt.Errorf("oracle: domain universe %d != oracle domain %d", domain.N(), inner.N())
-	}
-	if domain.Size() == 0 {
-		return nil, fmt.Errorf("oracle: conditioning on an empty domain")
-	}
-	if maxRetry <= 0 {
-		maxRetry = 1_000_000
-	}
-	return &Conditional{inner: inner, domain: domain, maxRetry: maxRetry}, nil
-}
-
-// N returns the domain size of the underlying universe.
-func (c *Conditional) N() int { return c.inner.N() }
-
-// Draw returns the next inner sample that lands in the domain.
-func (c *Conditional) Draw() int {
-	for i := 0; i < c.maxRetry; i++ {
-		if v := c.inner.Draw(); c.domain.Contains(v) {
-			return v
-		}
-	}
-	panic("oracle: conditional rejection budget exhausted (domain mass ~0)")
-}
-
-// Samples returns the inner oracle's draw count (including rejections).
-func (c *Conditional) Samples() int64 { return c.inner.Samples() }
-
-// CanFork reports whether the inner oracle can clone.
-func (c *Conditional) CanFork() bool {
-	f, ok := c.inner.(Forker)
-	return ok && f.CanFork()
-}
-
-// Fork clones the conditional oracle when the inner oracle supports it;
-// the clone shares the immutable domain.
-func (c *Conditional) Fork(r *rng.RNG) Oracle {
-	f, ok := c.inner.(Forker)
-	if !ok {
-		return nil
-	}
-	clone := f.Fork(r)
-	if clone == nil {
-		return nil
-	}
-	return &Conditional{inner: clone, domain: c.domain, maxRetry: c.maxRetry}
-}
-
-// Absorb folds clone draws into the inner oracle's counter.
-func (c *Conditional) Absorb(drawn int64) {
-	if f, ok := c.inner.(Forker); ok {
-		f.Absorb(drawn)
-	}
-}
-
-var _ Forker = (*Conditional)(nil)
 
 // ErrReplayExhausted is the value Replay.Draw panics with when the
 // recording runs out. Callers that run a tester over recorded data (e.g.

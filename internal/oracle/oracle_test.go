@@ -234,49 +234,3 @@ func BenchmarkSamplerDrawHistogram(b *testing.B) {
 		_ = s.Draw()
 	}
 }
-
-func TestConditionalOracle(t *testing.T) {
-	r := rng.New(30)
-	d := dist.Uniform(100)
-	inner := NewSampler(d, r)
-	g := intervals.NewDomain(100, []intervals.Interval{{Lo: 10, Hi: 20}, {Lo: 50, Hi: 60}})
-	c, err := NewConditional(inner, g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		v := c.Draw()
-		if !g.Contains(v) {
-			t.Fatalf("conditional draw %d outside domain", v)
-		}
-	}
-	// Samples counts inner draws: with domain mass 0.2, about 5× the
-	// accepted count.
-	ratio := float64(c.Samples()) / 2000
-	if ratio < 3 || ratio > 8 {
-		t.Fatalf("rejection accounting ratio = %v, want ~5", ratio)
-	}
-	if _, err := NewConditional(inner, intervals.EmptyDomain(100), 0); err == nil {
-		t.Fatal("empty domain accepted")
-	}
-	if _, err := NewConditional(inner, intervals.FullDomain(99), 0); err == nil {
-		t.Fatal("mismatched universe accepted")
-	}
-}
-
-func TestConditionalExhaustsRetries(t *testing.T) {
-	r := rng.New(31)
-	d := dist.PointMass(100, 5) // all mass outside the domain below
-	inner := NewSampler(d, r)
-	g := intervals.NewDomain(100, []intervals.Interval{{Lo: 50, Hi: 60}})
-	c, err := NewConditional(inner, g, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on zero-mass domain")
-		}
-	}()
-	c.Draw()
-}
