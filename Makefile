@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short conformance conformance-list bench bench-json bench-ingest-json bench-gate soak-smoke experiments experiments-quick examples fuzz fuzz-smoke race test-race vet lint lint-tools cover cover-json clean FORCE
+.PHONY: build test test-short conformance conformance-list bench bench-json bench-gate soak-smoke experiments experiments-quick examples fuzz fuzz-smoke race test-race vet lint lint-tools cover cover-json clean FORCE
 
 build:
 	$(GO) build ./...
@@ -71,28 +71,22 @@ test-race: race
 test-short:
 	$(GO) test -short ./...
 
-# Micro-benchmarks and the E1–E14 tables via testing.B (quick mode).
+# Micro-benchmarks and the E1–E15 tables via testing.B (quick mode).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the recorded hot-path perf numbers (BENCH_hotpath.json).
-# The pre-pooling baseline embedded in cmd/histbench is preserved.
+# Regenerate the BENCH.json ledger: every hot-path and ingest entry's
+# median over five runs, with the host probe timed around them.
 bench-json:
-	$(GO) run ./cmd/histbench -hotpath-json BENCH_hotpath.json
+	$(GO) run ./cmd/histbench -bench-json BENCH.json
 
-# Regenerate the recorded streaming-ingestion throughput numbers
-# (BENCH_ingest.json).
-bench-ingest-json:
-	$(GO) run ./cmd/histbench -ingest-json BENCH_ingest.json
-
-# CI perf gate: re-measure the hot-path micro-benchmarks and fail when
-# allocs/op regressed more than 10% — or ns/op more than 15% — against
-# the committed report, comparing only entries with equal gomaxprocs.
-# Then the ingest gate: events/s must stay within 30% of the committed
-# report and the 4-way soak above an absolute 1M events/s floor.
+# CI perf gate: re-measure every ledger entry and fail when allocs/op
+# rose more than 10%, a rate entry's events/s fell more than 30% (or a
+# 4-way rate is under 1M events/s), or another entry's ns/op rose more
+# than 15%. Time metrics are scaled by the host probe; entries are
+# compared only at equal gomaxprocs.
 bench-gate:
-	$(GO) run ./cmd/histbench -hotpath-gate BENCH_hotpath.json
-	$(GO) run ./cmd/histbench -ingest-gate BENCH_ingest.json
+	$(GO) run ./cmd/histbench -bench-gate BENCH.json
 
 # Short-mode ingest soak under the race detector: concurrent writers,
 # a racing snapshotter, and the conservation invariant (every

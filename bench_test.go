@@ -155,28 +155,21 @@ func BenchmarkSieveWorkersParallel(b *testing.B) { benchSieveWorkers(b, 0) }
 
 // BenchmarkCoreTestHotPath measures the steady-state cost of repeated
 // tester invocations at production scale (n = 10⁵, k = 8) — the
-// configuration the perf trajectory in BENCH_hotpath.json tracks (see
-// `make bench-json`). Run with -benchmem; the allocs/op figure is the
-// headline number.
+// configuration the BENCH.json ledger tracks (see `make bench-json`).
+// Run with -benchmem; the allocs/op figure is the headline number.
 func BenchmarkCoreTestHotPath(b *testing.B) { benchhot.CoreTestHotPath(b, 1) }
 
 // BenchmarkCoreTestHotPathParallel is the same workload with the sieve
 // replicates fanned out across all cores. The fixed-count Parallel2/4
-// variants mirror the BENCH_hotpath.json entries, which pin the worker
-// count so the numbers are comparable across machines.
+// variants mirror the ledger entries, which pin the worker count so the
+// numbers are comparable across machines.
 func BenchmarkCoreTestHotPathParallel(b *testing.B)  { benchhot.CoreTestHotPath(b, 0) }
 func BenchmarkCoreTestHotPathParallel2(b *testing.B) { benchhot.CoreTestHotPath(b, 2) }
 func BenchmarkCoreTestHotPathParallel4(b *testing.B) { benchhot.CoreTestHotPath(b, 4) }
 
-// BenchmarkCoreTestHotPathEngineADK / EngineCDKL22 run the same workload
-// under each explicitly named tester engine — the like-for-like pair
-// `make bench-gate` gates per engine. The ADK entry matches
-// BenchmarkCoreTestHotPath by construction; the CDKL'22 entry has no
-// sieve at all, so its wall clock is dominated by partition + learn +
-// one flatness batch.
-func BenchmarkCoreTestHotPathEngineADK(b *testing.B) {
-	benchhot.CoreTestHotPathEngine(b, "adk", 1)
-}
+// BenchmarkCoreTestHotPathEngineCDKL22 runs the same workload under the
+// CDKL'22 engine. It has no sieve at all, so its wall clock is dominated
+// by partition + learn + one flatness batch.
 func BenchmarkCoreTestHotPathEngineCDKL22(b *testing.B) {
 	benchhot.CoreTestHotPathEngine(b, "cdkl22", 1)
 }
@@ -225,9 +218,9 @@ func BenchmarkCoreTestHotPathEngineCDKL22ClosedForm2p20(b *testing.B) {
 }
 
 // BenchmarkIngestSoak and its ParallelN variants measure aggregate
-// sharded-accumulator ingest throughput — the events/s numbers
-// BENCH_ingest.json tracks (see `make bench-ingest-json`); N goroutines
-// pour 4096-event batches into one shared accumulator.
+// sharded-accumulator ingest throughput — the events/s numbers of the
+// ledger's ingest entries; N goroutines pour 4096-event batches into one
+// shared accumulator.
 func BenchmarkIngestSoak(b *testing.B)          { benchhot.IngestSoak(b, 1) }
 func BenchmarkIngestSoakParallel2(b *testing.B) { benchhot.IngestSoak(b, 2) }
 func BenchmarkIngestSoakParallel4(b *testing.B) { benchhot.IngestSoak(b, 4) }

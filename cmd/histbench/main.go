@@ -1,4 +1,4 @@
-// Command histbench regenerates the experiment tables E1–E14 (see
+// Command histbench regenerates the experiment tables E1–E15 (see
 // DESIGN.md for the index mapping each to a paper claim).
 //
 // Usage:
@@ -10,24 +10,20 @@
 //	histbench -run E6 -csv results/
 //	histbench -run E7 -cpuprofile cpu.out -memprofile mem.out
 //	histbench -run E6 -trace-json trace.jsonl
-//	histbench -hotpath-json BENCH_hotpath.json
-//	histbench -hotpath-gate BENCH_hotpath.json
-//	histbench -ingest-json BENCH_ingest.json
-//	histbench -ingest-gate BENCH_ingest.json
+//	histbench -bench-json BENCH.json
+//	histbench -bench-gate BENCH.json
 //	histbench -cover-profile cover.out -cover-json COVERAGE.json
 //	histbench -cover-profile cover.out -cover-gate COVERAGE.json
 //	histbench -conformance-list .
 //
-// -hotpath-gate re-measures the hot-path micro-benchmarks and exits 1
-// when allocs/op regressed more than -hotpath-tolerance against the
-// committed report (the CI perf gate; see `make bench-gate`).
-// -ingest-gate does the same for the streaming-ingestion soaks,
-// gating events/s downward and holding the 4-way soak to an absolute
-// 1M events/s floor.
+// -bench-json measures every ledger entry (hot-path and ingest benchmark
+// bodies) and writes the BENCH.json ledger; -bench-gate re-measures them
+// and exits 1 when one regressed past its bound against the committed
+// ledger (the CI perf gate; see `make bench-gate` and cli.CompareLedger).
 //
 // -cover-gate ratchets statement coverage against the committed
-// COVERAGE.json: a total or per-package drop beyond -cover-tolerance
-// (default 1pt) exits 1 (see `make cover`). -conformance-list diffs the
+// COVERAGE.json: a total or per-package drop beyond 1pt exits 1 (see
+// `make cover`). -conformance-list diffs the
 // CONFORMANCE_ENGINES / CONFORMANCE_WORKLOADS declarations in the
 // Makefile and CI workflows against the in-code registries, so the
 // conformance battery cannot silently shrink when an engine or serve
@@ -79,15 +75,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		workers    = fs.Int("workers", 0, "cap concurrency (trial fan-out and sieve replicates); 0 = all cores")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		hotJSON    = fs.String("hotpath-json", "", "run the hot-path micro-benchmarks and write the results as JSON to this file (skips the experiments)")
-		hotGate    = fs.String("hotpath-gate", "", "re-run the hot-path micro-benchmarks and fail on an allocs/op regression against this committed report (skips the experiments)")
-		hotTol     = fs.Float64("hotpath-tolerance", 0.10, "allowed fractional allocs/op regression for -hotpath-gate")
-		ingJSON    = fs.String("ingest-json", "", "run the streaming-ingestion soak benchmarks and write the results as JSON to this file (skips the experiments)")
-		ingGate    = fs.String("ingest-gate", "", "re-run the ingestion soaks and fail on an events/s regression — or a 4-way soak under the 1M events/s floor — against this committed report (skips the experiments)")
+		benchJSON  = fs.String("bench-json", "", "measure every ledger entry and write the ledger as JSON to this file (skips the experiments)")
+		benchGate  = fs.String("bench-gate", "", "re-measure every ledger entry and fail on a regression against this committed ledger (skips the experiments)")
 		coverProf  = fs.String("cover-profile", "", "a `go test -coverprofile` file to reduce; required by -cover-json and -cover-gate")
 		coverJSON  = fs.String("cover-json", "", "reduce -cover-profile to per-package statement coverage and write the COVERAGE.json baseline to this file (skips the experiments)")
-		coverGate  = fs.String("cover-gate", "", "ratchet -cover-profile against this committed COVERAGE.json and fail on a drop beyond -cover-tolerance (skips the experiments)")
-		coverTol   = fs.Float64("cover-tolerance", 1.0, "allowed statement-coverage drop for -cover-gate, in percentage points")
+		coverGate  = fs.String("cover-gate", "", "ratchet -cover-profile against this committed COVERAGE.json and fail on a drop beyond 1pt (skips the experiments)")
 		confList   = fs.String("conformance-list", "", "diff the CONFORMANCE_ENGINES/CONFORMANCE_WORKLOADS declarations under this repo root (Makefile + CI workflows) against the in-code registries and fail on drift (skips the experiments)")
 		countStrat = fs.String("count-strategy", "", "Poissonized count synthesis: 'exact' (default; bit-identical historical streams) or 'closed-form' (O(k+occupied) per batch on known samplers)")
 		engine     = fs.String("engine", "", "tester engine: 'adk' (default; the paper's Algorithm 1) or 'cdkl22' (the CDKL'22 near-optimal tester)")
@@ -137,41 +129,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *hotJSON != "" {
-		if err := writeHotpathJSON(*hotJSON, stderr); err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		return 0
+	if *benchJSON != "" {
+		return gateExit(stderr, 0, writeLedger(*benchJSON, ledgerEntries, stderr))
 	}
-	if *hotGate != "" {
-		violations, err := gateHotpath(*hotGate, *hotTol, stdout, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		if violations > 0 {
-			return 1
-		}
-		return 0
-	}
-	if *ingJSON != "" {
-		if err := writeIngestJSON(*ingJSON, stderr); err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *ingGate != "" {
-		violations, err := gateIngest(*ingGate, stdout, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		if violations > 0 {
-			return 1
-		}
-		return 0
+	if *benchGate != "" {
+		violations, err := gateLedger(*benchGate, ledgerEntries, stdout, stderr)
+		return gateExit(stderr, violations, err)
 	}
 	if *coverJSON != "" || *coverGate != "" {
 		if *coverProf == "" {
@@ -179,32 +142,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if *coverJSON != "" {
-			if err := writeCoverageJSON(*coverProf, *coverJSON, stderr); err != nil {
-				fmt.Fprintf(stderr, "histbench: %v\n", err)
-				return 1
-			}
-			return 0
+			return gateExit(stderr, 0, writeCoverageJSON(*coverProf, *coverJSON, stderr))
 		}
-		violations, err := gateCoverage(*coverProf, *coverGate, *coverTol, stdout, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		if violations > 0 {
-			return 1
-		}
-		return 0
+		violations, err := gateCoverage(*coverProf, *coverGate, stdout, stderr)
+		return gateExit(stderr, violations, err)
 	}
 	if *confList != "" {
 		violations, err := gateConformanceLists(*confList, stdout, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		if violations > 0 {
-			return 1
-		}
-		return 0
+		return gateExit(stderr, violations, err)
 	}
 
 	if *list {
@@ -300,6 +245,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				}
 			}
 		}
+	}
+	return 0
+}
+
+// gateExit is the exit code of a gate or of a baseline write: 1 after
+// an error, which it reports, or any violation; 0 otherwise.
+func gateExit(stderr io.Writer, violations int, err error) int {
+	if err != nil {
+		fmt.Fprintf(stderr, "histbench: %v\n", err)
+		return 1
+	}
+	if violations > 0 {
+		return 1
 	}
 	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -117,18 +118,81 @@ func TestQuickExperimentWithWorkersAndTrace(t *testing.T) {
 	}
 }
 
-// The gate's full measure-and-compare pass takes ~10s of benchmarking, so
-// tests cover the failure plumbing and the comparator is unit-tested in
-// internal/cli; `make bench-gate` exercises the full path.
-func TestHotpathGateBadInputs(t *testing.T) {
-	if code, _, errb := runCmd("-hotpath-gate", "no-such-file.json"); code != 1 || !strings.Contains(errb, "no-such-file.json") {
-		t.Fatalf("missing report: code %d, stderr %q", code, errb)
+// The full ledger takes minutes to measure, so the bad-input tests run
+// the flag itself and TestBenchGateOnTinyTable drives the same
+// measure, write and gate path over a table of trivial bodies;
+// `make bench-gate` exercises the real table.
+func TestBenchGateBadInputs(t *testing.T) {
+	if code, _, errb := runCmd("-bench-gate", "no-such-file.json"); code != 1 || !strings.Contains(errb, "no-such-file.json") {
+		t.Fatalf("missing ledger: code %d, stderr %q", code, errb)
 	}
 
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	payload, _ := json.Marshal(cli.HotpathReport{Schema: "other/v0"})
+	payload, _ := json.Marshal(cli.Ledger{Schema: "histbench-hotpath/v2"})
 	os.WriteFile(bad, payload, 0o644)
-	if code, _, errb := runCmd("-hotpath-gate", bad); code != 1 || !strings.Contains(errb, "schema") {
-		t.Fatalf("bad schema: code %d, stderr %q", code, errb)
+	if code, _, errb := runCmd("-bench-gate", bad); code != 1 || !strings.Contains(errb, "schema") {
+		t.Fatalf("old schema: code %d, stderr %q", code, errb)
+	}
+}
+
+var allocSink []byte
+
+func TestBenchGateOnTinyTable(t *testing.T) {
+	// One iteration per run keeps the five runs per entry instant.
+	prev := flag.Lookup("test.benchtime").Value.String()
+	flag.Set("test.benchtime", "1x")
+	defer flag.Set("test.benchtime", prev)
+
+	nop := func(b *testing.B) {}
+	rate := func(b *testing.B) { b.ReportMetric(5e6, "events/s") }
+	table := []benchEntry{
+		{"Nop", "draw", 1, "", nop},
+		{"Rate4", "ingest", 4, "", rate},
+	}
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	var errb bytes.Buffer
+	if err := writeLedger(path, table, &errb); err != nil {
+		t.Fatal(err)
+	}
+	l, err := cli.LoadLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Entries["Rate4"]; got.GOMAXPROCS != 4 || got.EventsPerSec != 5e6 || got.Layer != "ingest" || got.ProbeNs <= 0 {
+		t.Fatalf("Rate4 recorded as %+v", got)
+	}
+	if got := l.Entries["Nop"]; got.EventsPerSec != 0 || got.AllocsPerOp != 0 {
+		t.Fatalf("Nop recorded as %+v", got)
+	}
+
+	// A ledger probe far below any real one makes the host look millions
+	// of times slower now than at recording, so no time bound can fail
+	// below: only allocs/op and presence can.
+	for name, e := range l.Entries {
+		e.ProbeNs = 1e-6
+		l.Entries[name] = e
+	}
+	payload, _ := json.Marshal(l)
+	os.WriteFile(path, payload, 0o644)
+
+	var out bytes.Buffer
+	errb.Reset()
+	if n, err := gateLedger(path, table, &out, &errb); err != nil || n != 0 {
+		t.Fatalf("gate against its own ledger: %d violations, err %v\n%s", n, err, errb.String())
+	}
+	if !strings.Contains(out.String(), "Nop: ns/op") || !strings.Contains(out.String(), "Rate4: events/s") {
+		t.Fatalf("gate output lacks per-entry lines:\n%s", out.String())
+	}
+
+	allocating := func(b *testing.B) {
+		for range b.N {
+			allocSink = make([]byte, 64)
+		}
+	}
+	errb.Reset()
+	n, err := gateLedger(path, []benchEntry{{"Nop", "draw", 1, "", allocating}}, &out, &errb)
+	if err != nil || n != 2 || !strings.Contains(errb.String(), "Nop: allocs/op regressed 0 -> 1") ||
+		!strings.Contains(errb.String(), "Rate4: present in the ledger but missing") {
+		t.Fatalf("want the allocation and the dropped entry as violations, got %d (err %v):\n%s", n, err, errb.String())
 	}
 }

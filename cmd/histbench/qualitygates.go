@@ -35,9 +35,14 @@ func writeCoverageJSON(profilePath, outPath string, stderr io.Writer) error {
 	return nil
 }
 
+// coverTolerancePts is the statement-coverage drop, in percentage
+// points, the ratchet allows per package and in total.
+const coverTolerancePts = 1.0
+
 // gateCoverage ratchets a fresh coverprofile against the committed
-// baseline: >tolerancePts drops (total or per-package) fail the gate.
-func gateCoverage(profilePath, baselinePath string, tolerancePts float64, stdout, stderr io.Writer) (int, error) {
+// baseline: drops beyond coverTolerancePts (total or per-package) fail
+// the gate.
+func gateCoverage(profilePath, baselinePath string, stdout, stderr io.Writer) (int, error) {
 	baseline, err := cli.LoadCoverageReport(baselinePath)
 	if err != nil {
 		return 0, err
@@ -52,8 +57,8 @@ func gateCoverage(profilePath, baselinePath string, tolerancePts float64, stdout
 		return 0, err
 	}
 
-	violations, deltas, notes := cli.CompareCoverage(baseline, current, tolerancePts)
-	fmt.Fprintf(stdout, "coverage vs %s (tolerance %.1fpt):\n", baselinePath, tolerancePts)
+	violations, deltas, notes := cli.CompareCoverage(baseline, current, coverTolerancePts)
+	fmt.Fprintf(stdout, "coverage vs %s (tolerance %.1fpt):\n", baselinePath, coverTolerancePts)
 	for _, d := range deltas {
 		fmt.Fprintf(stdout, "  %s\n", d)
 	}
@@ -65,7 +70,7 @@ func gateCoverage(profilePath, baselinePath string, tolerancePts float64, stdout
 	}
 	if len(violations) == 0 {
 		fmt.Fprintf(stdout, "coverage ratchet: OK (total %.2f%% vs floor %.2f%%)\n",
-			current.Total, baseline.Total-tolerancePts)
+			current.Total, baseline.Total-coverTolerancePts)
 	}
 	return len(violations), nil
 }

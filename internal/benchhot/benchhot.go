@@ -1,9 +1,8 @@
 // Package benchhot holds the hot-path micro-benchmark bodies shared by
-// the repo-root testing.B benchmarks (go test -bench) and the
-// cmd/histbench -hotpath-json mode, which runs the same bodies via
-// testing.Benchmark and records the results in BENCH_hotpath.json — the
-// perf trajectory file tracking allocs/op and ns/op of the steady-state
-// tester across PRs.
+// the repo-root testing.B benchmarks (go test -bench) and cmd/histbench
+// -bench-json, which runs the same bodies via testing.Benchmark and
+// records their medians in BENCH.json — the ledger tracking allocs/op
+// and ns/op of the steady-state tester across changes.
 package benchhot
 
 import (
@@ -36,35 +35,28 @@ func EightHistogram(n int) *dist.PiecewiseConstant {
 // CoreTestHotPath measures the steady-state cost of repeated tester
 // invocations at production scale (n = 10⁵, k = 8): one shared
 // core.Arena, one shared alias-table prototype, fresh RNG streams per
-// iteration. With -benchmem the allocs/op figure is the headline number
-// BENCH_hotpath.json tracks.
+// iteration, under the adk engine (Algorithm 1) named explicitly so the
+// entry keeps measuring it if the default engine ever changes. With
+// -benchmem the allocs/op figure is the headline number BENCH.json
+// tracks.
 func CoreTestHotPath(b *testing.B, workers int) {
-	coreTestHotPath(b, workers, oracle.CountExact)
+	coreTestHotPath(b, "adk", workers, oracle.CountExact)
 }
 
 // CoreTestHotPathClosedForm is the same workload with the count vectors
 // synthesized from the sampler's run structure (oracle.CountClosedForm)
-// instead of drawn sample by sample — the BENCH_hotpath.json entry that
-// pins the closed-form speedup.
+// instead of drawn sample by sample — the BENCH.json entry that pins the
+// closed-form speedup.
 func CoreTestHotPathClosedForm(b *testing.B, workers int) {
-	coreTestHotPath(b, workers, oracle.CountClosedForm)
+	coreTestHotPath(b, "adk", workers, oracle.CountClosedForm)
 }
 
-// CoreTestHotPathEngine is the same workload under an explicitly named
-// engine — the per-engine BENCH_hotpath.json entries `make bench-gate`
-// uses to gate every registered engine like-for-like. The adk entry
-// duplicates CoreTestHotPath by construction (empty engine = adk), which
-// is deliberate: the named entry keeps gating even if the default ever
-// changes.
+// CoreTestHotPathEngine is the same workload under the named engine.
 func CoreTestHotPathEngine(b *testing.B, engine string, workers int) {
-	coreTestHotPathEngine(b, engine, workers, oracle.CountExact)
+	coreTestHotPath(b, engine, workers, oracle.CountExact)
 }
 
-func coreTestHotPath(b *testing.B, workers int, cs oracle.CountStrategy) {
-	coreTestHotPathEngine(b, "", workers, cs)
-}
-
-func coreTestHotPathEngine(b *testing.B, engine string, workers int, cs oracle.CountStrategy) {
+func coreTestHotPath(b *testing.B, engine string, workers int, cs oracle.CountStrategy) {
 	const n, k = 100_000, 8
 	const eps = 0.8
 	cfg := core.PracticalConfig()

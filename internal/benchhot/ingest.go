@@ -12,12 +12,12 @@ import (
 	"repro/internal/stream"
 )
 
-// Ingest benchmark bodies: the soak workload BENCH_ingest.json tracks.
-// One op is one 4096-event batch poured into a shared sharded
+// Ingest benchmark bodies: the soak workload of BENCH.json's ingest
+// entries. One op is one 4096-event batch poured into a shared sharded
 // accumulator; the headline metric is the aggregate events/s rate
 // (reported via b.ReportMetric, so it lands in BenchmarkResult.Extra and
-// the recorded JSON), which `make bench-gate` holds to the 1M events/s
-// floor at 4-way parallelism.
+// the ledger), which `make bench-gate` holds to the 1M events/s floor at
+// 4-way parallelism.
 
 const (
 	// ingestDomain is the event domain of the soak workload — large

@@ -75,11 +75,11 @@ func TestForkProbeDoesNotAllocate(t *testing.T) {
 
 // TestSteadyStateAllocationsBounded guards the arena's allocation-free
 // steady state end to end: warmed-up Test calls must stay under a fixed
-// allocation ceiling, serial and parallel. The ceilings sit above the
-// measured steady state (103 serial / 115 at four workers), tight
-// enough to catch a reintroduced per-call probe fork or a scratch
-// buffer that stopped being reused, loose enough to tolerate runtime
-// version noise. Race builds get raceAllocSlack on top: the
+// allocation ceiling, serial and parallel. The ceilings sit 4–5 above
+// the measured steady state (104 serial, 116 at four workers, go1.24
+// linux/amd64), so 5 or more extra allocations per call fail them: three
+// per sieve round over this set-up's two rounds, or a scratch buffer
+// that stopped being reused. Race builds get raceAllocSlack on top: the
 // instrumentation moves a few stack allocations to the heap.
 func TestSteadyStateAllocationsBounded(t *testing.T) {
 	d := threeHistogram(2048)
@@ -88,7 +88,7 @@ func TestSteadyStateAllocationsBounded(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		ceiling float64
-	}{{1, 115}, {4, 130}} {
+	}{{1, 108}, {4, 121}} {
 		cfg.Workers = tc.workers
 		arena := NewArena()
 		s := oracle.NewSampler(d, rng.New(300))

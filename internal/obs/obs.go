@@ -8,7 +8,7 @@
 // Overhead contract: the observability layer is zero-overhead when
 // disabled. A nil Observer in core.Config means no events are
 // constructed, no clock is read, and no allocations happen on the
-// tester's hot path (guarded by the BENCH_hotpath.json benchmarks).
+// tester's hot path (guarded by the BENCH.json ledger's allocs/op).
 // When an observer IS attached, events are flat value structs delivered
 // synchronously from the run's own goroutine — attaching an observer
 // never changes the tester's randomness, decision, or Trace (pinned by
