@@ -241,38 +241,62 @@ func TestCompareLedgerHostScaling(t *testing.T) {
 	}
 }
 
-func TestLoadLedger(t *testing.T) {
-	dir := t.TempDir()
-
-	good := filepath.Join(dir, "good.json")
-	payload, _ := json.Marshal(Ledger{
-		Schema:  LedgerSchema,
-		Entries: map[string]LedgerEntry{"B": ingest(2.5e6, 4)},
-	})
-	os.WriteFile(good, payload, 0o644)
-	got, err := LoadLedger(good)
+// loadRoundTrip writes a one-entry ledger, loads it back and fails t
+// unless the entry survives unchanged.
+func loadRoundTrip(t *testing.T, e LedgerEntry) {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "good.json")
+	payload, _ := json.Marshal(Ledger{Schema: LedgerSchema, Entries: map[string]LedgerEntry{"B": e}})
+	os.WriteFile(p, payload, 0o644)
+	got, err := LoadLedger(p)
 	if err != nil {
 		t.Fatalf("loading a valid ledger: %v", err)
 	}
-	if got.Entries["B"] != ingest(2.5e6, 4) {
+	if got.Entries["B"] != e {
 		t.Fatalf("round-trip lost data: %+v", got)
 	}
+}
 
-	for name, body := range map[string]string{
-		"badschema.json":  `{"schema":"other/v9","entries":{"B":{"probe_ns":1}}}`,
-		"hotpath-v2.json": `{"schema":"histbench-hotpath/v2","results":{"B":{"ns_per_op":1}}}`,
-		"ingest-v1.json":  `{"schema":"histbench-ingest/v1","results":{"B":{"events_per_sec":1}}}`,
-		"empty.json":      `{"schema":"` + LedgerSchema + `","entries":{}}`,
-		"noprobe.json":    `{"schema":"` + LedgerSchema + `","entries":{"B":{"ns_per_op":1}}}`,
-		"garbage.json":    `not json`,
-	} {
+// loadRefuses fails t unless LoadLedger refuses every named body.
+func loadRefuses(t *testing.T, bodies map[string]string) {
+	t.Helper()
+	dir := t.TempDir()
+	for name, body := range bodies {
 		p := filepath.Join(dir, name)
 		os.WriteFile(p, []byte(body), 0o644)
 		if _, err := LoadLedger(p); err == nil {
 			t.Fatalf("%s should fail to load", name)
 		}
 	}
-	if _, err := LoadLedger(filepath.Join(dir, "missing.json")); err == nil {
+}
+
+// TestLoadHotpathReport checks that a hot-path entry survives a ledger
+// round trip and that files in the old hot-path schemas are refused.
+func TestLoadHotpathReport(t *testing.T) {
+	loadRoundTrip(t, hot(1000, 7))
+	loadRefuses(t, map[string]string{
+		"hotpath-v1.json": `{"schema":"histbench-hotpath/v1","results":{"B":{}}}`,
+		"hotpath-v2.json": `{"schema":"histbench-hotpath/v2","results":{"B":{"ns_per_op":1}}}`,
+	})
+}
+
+// TestLoadIngestReport checks that an ingest entry survives a ledger
+// round trip and that a file in the old ingest schema is refused.
+func TestLoadIngestReport(t *testing.T) {
+	loadRoundTrip(t, ingest(2.5e6, 4))
+	loadRefuses(t, map[string]string{
+		"ingest-v1.json": `{"schema":"histbench-ingest/v1","results":{"B":{"events_per_sec":1}}}`,
+	})
+}
+
+func TestLoadLedger(t *testing.T) {
+	loadRefuses(t, map[string]string{
+		"badschema.json": `{"schema":"other/v9","entries":{"B":{"probe_ns":1}}}`,
+		"empty.json":     `{"schema":"` + LedgerSchema + `","entries":{}}`,
+		"noprobe.json":   `{"schema":"` + LedgerSchema + `","entries":{"B":{"ns_per_op":1}}}`,
+		"garbage.json":   `not json`,
+	})
+	if _, err := LoadLedger(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("a missing file should fail to load")
 	}
 }
