@@ -41,8 +41,11 @@ lint: lint-tools
 	$(TOOLBIN)/staticcheck ./...
 	$(TOOLBIN)/govulncheck ./...
 
+# bench/ is its own module (histload imports internal/ packages), so
+# `go test ./...` at the root skips it: vet and test it here too.
 test: vet conformance
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Cross-engine conformance battery, with the engine set named EXPLICITLY:
 # a registered engine missing from this list — or a listed engine missing

@@ -108,7 +108,7 @@ func (er *entryRuns) entry(e benchEntry) cli.LedgerEntry {
 		AllocsPerOp:  median(er.allocs),
 		BytesPerOp:   median(er.bytes),
 		EventsPerSec: median(er.rate),
-		ProbeNs:      median(er.probes),
+		ProbeNs:      slices.Min(er.probes),
 		Note:         note,
 	}
 }
@@ -130,7 +130,7 @@ func measureLedger(table []benchEntry, stderr io.Writer) cli.Ledger {
 		Schema:  cli.LedgerSchema,
 		Go:      runtime.Version(),
 		Host:    fmt.Sprintf("%s/%s, %d hardware thread(s)", runtime.GOOS, runtime.GOARCH, runtime.NumCPU()),
-		Method:  fmt.Sprintf("each metric is the median of %d testing.Benchmark runs, one per pass over the entries; probe_ns is the median wall-clock ns per iteration of a fixed stdlib-only loop timed just before and after each of those runs", ledgerRuns),
+		Method:  fmt.Sprintf("each metric is the median of %d testing.Benchmark runs, one per pass over the entries; probe_ns is the minimum wall-clock ns per iteration of a fixed stdlib-only loop over %d samples, %d timed just before and %d just after each of those runs", ledgerRuns, 2*probeReps*ledgerRuns, probeReps, probeReps),
 		Entries: map[string]cli.LedgerEntry{},
 	}
 	for i, e := range table {
@@ -180,7 +180,9 @@ func gateLedger(path string, table []benchEntry, stdout, stderr io.Writer) (int,
 // of work an alias-table draw does), so no change to the code under test
 // can move it: bench/histload's probe loop, copied because that module
 // cannot be imported from here, and timed on the wall clock so it builds
-// everywhere.
+// everywhere. An entry records the minimum of its samples: interference
+// only adds time, so the fastest sample measures the host and a median
+// also measures whatever else ran at that moment.
 const (
 	probeIters = 1 << 18 // ~1 ms
 	probeReps  = 5       // probe samples taken at each point around the runs

@@ -21,6 +21,7 @@
 package histtest
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/chisq"
@@ -287,7 +288,12 @@ func TestCloseness(srcA, srcB Source, n int, eps float64, opt Options) (Verdict,
 	}
 	oa := &sourceOracle{n: n, src: srcA}
 	ob := &sourceOracle{n: n, src: srcB}
-	res := closeness.Test(oa, ob, opt.rng(), eps, closeness.DefaultParams())
+	// k = n turns the [DKN17] reduction off: one full-domain batch per side.
+	cfg := closeness.Config{Chi: closeness.DefaultParams(), Reps: 1}
+	res, err := closeness.TestTwoSample(context.Background(), oa, ob, opt.rng(), n, eps, cfg)
+	if err != nil {
+		return Verdict{}, err
+	}
 	v := Verdict{IsKHistogram: res.Accept, SamplesUsed: oa.count + ob.count}
 	if !res.Accept {
 		v.Stage = "closeness"

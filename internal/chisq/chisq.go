@@ -103,31 +103,6 @@ func (rc *runCursor) prob(i int) float64 {
 	return rc.p
 }
 
-// Z computes the truncated χ² statistic over the single interval
-// [iv.Lo, iv.Hi) from Poissonized counts. m is the nominal Poisson mean
-// of the total sample size.
-func Z(counts *oracle.Counts, dstar dist.Distribution, iv intervals.Interval, m, tau float64) float64 {
-	iv = iv.Intersect(intervals.Interval{Lo: 0, Hi: dstar.N()})
-	if iv.Empty() {
-		return 0
-	}
-	// Credit every truncated element with its unsampled closed form, then
-	// correct the sampled ones.
-	z := m * truncatedMass(dstar, iv.Lo, iv.Hi, tau)
-	rc := runCursor{dstar: dstar}
-	counts.ForEach(func(i, ni int) {
-		if i < iv.Lo || i >= iv.Hi {
-			return
-		}
-		pi := rc.prob(i)
-		if pi < tau {
-			return
-		}
-		z += sampledCorrection(ni, m*pi)
-	})
-	return z
-}
-
 // sampledCorrection returns the adjustment a sampled element contributes
 // relative to the unsampled closed form: the element was pre-credited with
 // m·D*(i), its true term is ((N_i−m·D*(i))²−N_i)/(m·D*(i)).

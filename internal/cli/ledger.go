@@ -25,8 +25,8 @@ const (
 )
 
 // LedgerEntry is one named benchmark body's record: the medians of its
-// metrics over several testing.Benchmark runs, and the median cost of the
-// host probe timed around those runs.
+// metrics over several testing.Benchmark runs, and the minimum cost of
+// the host probe timed around those runs.
 type LedgerEntry struct {
 	// Layer names the layer the body exercises (draw, core, ingest).
 	Layer string `json:"layer"`
@@ -39,7 +39,7 @@ type LedgerEntry struct {
 	// EventsPerSec is set on rate entries only; its presence in the
 	// ledger is what makes the entry gate events/s instead of ns/op.
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	// ProbeNs is the probe loop's median wall-clock cost per iteration
+	// ProbeNs is the probe loop's minimum wall-clock cost per iteration
 	// around the entry's runs. The ratio of two entries' probe costs is
 	// how much slower the host ran for one than for the other.
 	ProbeNs float64 `json:"probe_ns"`

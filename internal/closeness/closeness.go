@@ -1,8 +1,8 @@
-// Package closeness implements the two-sample (closeness) tester of
-// Chan, Diakonikolas, Valiant, and Valiant [CDVV14] — the work the paper's
-// footnote 2 credits for the χ²-style statistic behind its testing stage.
-// Given samples from two unknown distributions p and q over [n], it
-// distinguishes p = q from dTV(p, q) >= ε with
+// Package closeness implements two-sample (closeness) testing with the
+// χ² statistic of Chan, Diakonikolas, Valiant, and Valiant [CDVV14] — the
+// work the paper's footnote 2 credits for the χ²-style statistic behind
+// its testing stage. Given samples from two unknown distributions p and q
+// over [n], it distinguishes p = q from dTV(p, q) >= ε with
 // O(max(n^{2/3}/ε^{4/3}, √n/ε²)) samples.
 //
 // The statistic, over Poissonized count vectors X, Y (X_i ~ Poisson(m·p_i),
@@ -16,16 +16,16 @@
 // heavy elements) — this implementation follows their simpler variant that
 // thresholds Z directly, which preserves the sample-complexity scaling.
 //
-// The tester rounds out the repository's distribution-testing toolkit and
-// gives the experiments an independent χ²-flavored primitive to sanity-
-// check the ADK machinery against.
+// TestTwoSample runs it on the [DKN17] reduced domain of two histograms.
+// With k = n the reduction is off, and TestTwoSample is the full-domain
+// [CDVV14] test: one Poissonized batch per side when Reps = 1, as
+// histtest.TestCloseness and E15's naive arm call it.
 package closeness
 
 import (
 	"math"
 
 	"repro/internal/oracle"
-	"repro/internal/rng"
 )
 
 // Params are the tester's tunable constants.
@@ -73,35 +73,4 @@ func Statistic(x, y *oracle.Counts) float64 {
 		z += float64(yi) - 1
 	})
 	return z
-}
-
-// Result reports one closeness test.
-type Result struct {
-	Accept       bool
-	Z, Threshold float64
-	M            float64
-	DrawnX       int
-	DrawnY       int
-}
-
-// Test decides whether the distributions behind the two oracles are equal
-// (accept w.p. >= 2/3) or ε-far in total variation (reject w.p. >= 2/3),
-// drawing Poisson(m) samples from each.
-func Test(px, py oracle.Oracle, r *rng.RNG, eps float64, params Params) Result {
-	n := px.N()
-	if py.N() != n {
-		panic("closeness: oracles over different domains")
-	}
-	m := params.SampleMean(n, eps)
-	sx := oracle.DrawPoisson(px, r, m)
-	sy := oracle.DrawPoisson(py, r, m)
-	x := oracle.NewCounts(n, sx)
-	y := oracle.NewCounts(n, sy)
-	z := Statistic(x, y)
-	// Null variance scale: each element with both counts zero contributes
-	// nothing; occupied elements contribute O(1) variance each, so the
-	// scale is √(#occupied) <= √(total counts).
-	occupied := float64(x.Distinct() + y.Distinct())
-	thr := params.ThresholdFactor * math.Sqrt(math.Max(occupied, 1))
-	return Result{Accept: z <= thr, Z: z, Threshold: thr, M: m, DrawnX: len(sx), DrawnY: len(sy)}
 }

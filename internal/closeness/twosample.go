@@ -20,8 +20,7 @@
 //     over the REDUCED domain of K intervals), fold each count vector
 //     onto the refinement (interval j of the partition becomes element j
 //     of a K-element domain), and threshold the [CDVV14] χ² statistic Z
-//     on the reduced vectors — exactly the statistic in this package's
-//     one-shot Test, over K elements instead of n.
+//     on the reduced vectors — over K elements instead of n.
 //  3. Amplify — repeat stage 2 on fresh batches and take the majority
 //     verdict. The replicates run through oracle.Fanout, the driver the
 //     one-sample sieve uses: they fan out across Config.Workers when
@@ -53,7 +52,7 @@ import (
 // from DefaultConfig.
 type Config struct {
 	// Chi holds the [CDVV14] statistic constants, applied on the reduced
-	// domain (Test applies the same constants on the full domain).
+	// domain (on the full domain when the reduction is off).
 	Chi Params
 	// PartBFactor sets the reduction parameter
 	// b = PartBFactor·k·log2(k+2)/ε — the same shape as the one-sample
@@ -81,7 +80,7 @@ type Config struct {
 
 // DefaultConfig returns the calibrated practical constants (validated by
 // the operating-characteristic tests and E15). The χ² MFactor is one
-// notch above the one-shot Test default: on the reduced domain the
+// notch above the full-domain DefaultParams: on the reduced domain the
 // refinement packs whole intervals into single elements, so the far
 // pairs' signal concentrates on fewer, heavier cells and a marginal
 // batch size flips individual replicates near the boundary.
@@ -207,12 +206,12 @@ type Tester struct {
 }
 
 // pairBatch is the replicate body (oracle.Replicator): one Poissonized
-// batch of mean m per side, folded onto the refinement p and scored with
-// the [CDVV14] statistic into zs[i] and thrs[i]. It lives on the Tester
-// and goes to the driver as a pointer, so a run allocates nothing for
-// it. The slots are written once per replicate — two stores next to
-// kilosample batch draws, so (unlike the sieve's statistic rows) they
-// need no cache-line padding.
+// batch of mean m per side, folded onto the refinement p (nil when the
+// reduction is off) and scored with the [CDVV14] statistic into zs[i]
+// and thrs[i]. It lives on the Tester and goes to the driver as a
+// pointer, so a run allocates nothing for it. The slots are written once
+// per replicate — two stores next to kilosample batch draws, so (unlike
+// the sieve's statistic rows) they need no cache-line padding.
 type pairBatch struct {
 	m        float64
 	csX, csY oracle.CountStrategy
@@ -283,8 +282,10 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 
 	// Stage 1: per-side partitions and their common refinement. Skipped
 	// when the reduction cannot shrink the domain (small n or k >= n);
-	// the tester then degenerates to the full-domain [CDVV14] test.
+	// the tester then degenerates to the full-domain [CDVV14] test on the
+	// raw counts, with no partition.
 	var p *intervals.Partition
+	K := n
 	if cfg.reduced(n, k, eps) {
 		b := cfg.PartB(k, eps)
 		res.B = b
@@ -300,10 +301,8 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 		if err != nil {
 			return nil, fmt.Errorf("closeness: refining partitions: %w", err)
 		}
-	} else {
-		p = intervals.Singletons(n)
+		K = p.Count()
 	}
-	K := p.Count()
 	res.Intervals = K
 	res.PartitionSamples = (px.Samples() - markX) + (py.Samples() - markY)
 
@@ -345,15 +344,15 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 
 // reducedDecision folds the two full-domain count vectors onto the
 // partition (interval j becomes element j of a K-element domain) and
-// scores them with the [CDVV14] statistic. The fold is skipped when the
-// partition is the singleton partition — the reduced vectors would be
-// the inputs themselves. Pooled reduced vectors are released before
-// returning.
+// scores them with the [CDVV14] statistic. The fold is skipped when there
+// is no partition (the reduction is off) or it is the singleton partition
+// — the reduced vectors would be the inputs themselves. Pooled reduced
+// vectors are released before returning.
 func reducedDecision(cx, cy *oracle.Counts, p *intervals.Partition, chi Params) (z, thr float64) {
-	K := p.Count()
-	if K == p.N() {
+	if p == nil || p.Count() == p.N() {
 		return decide(cx, cy, chi)
 	}
+	K := p.Count()
 	rx := oracle.AcquireCounts(K, cx.Total())
 	ry := oracle.AcquireCounts(K, cy.Total())
 	fold(cx, p, rx)
@@ -373,7 +372,9 @@ func fold(c *oracle.Counts, p *intervals.Partition, out *oracle.Counts) {
 }
 
 // decide scores one count-vector pair: the [CDVV14] statistic against
-// its occupied-scale threshold (see Test for the variance rationale).
+// its occupied-scale threshold. Under the null each element with both
+// counts zero contributes nothing and each occupied element O(1)
+// variance, so the scale is √(#occupied) <= √(total counts).
 func decide(x, y *oracle.Counts, chi Params) (z, thr float64) {
 	z = Statistic(x, y)
 	occupied := float64(x.Distinct() + y.Distinct())

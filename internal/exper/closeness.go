@@ -3,7 +3,6 @@ package exper
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/closeness"
 	"repro/internal/dist"
@@ -81,27 +80,27 @@ func (rc RunConfig) dknMethod() twoSampleMethod {
 	}
 }
 
-// naiveMethod is the full-domain CDVV14 tester: no reduction, the χ²
-// statistic straight on [n], majority-amplified with the same replicate
-// count as the DKN default so the comparison isolates the reduction.
+// naiveMethod is the full-domain CDVV14 tester: TestTwoSample at k = n
+// (no reduction) on one batch per side, majority-amplified over the same
+// replicate count as the DKN default so the comparison isolates the
+// reduction.
 func naiveMethod() twoSampleMethod {
 	return twoSampleMethod{
 		name: "naive-cdvv14",
 		run: func(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, _ int, eps, scale float64) (bool, int64, error) {
-			params := closeness.DefaultParams()
-			params.MFactor *= scale
+			cfg := closeness.Config{Chi: closeness.DefaultParams(), Reps: 1}.Scale(scale)
 			reps := closeness.DefaultConfig().Reps
 			accepts := 0
 			var samples int64
 			for i := 0; i < reps; i++ {
-				if err := ctx.Err(); err != nil {
+				res, err := closeness.TestTwoSample(ctx, px, py, r, px.N(), eps, cfg)
+				if err != nil {
 					return false, samples, err
 				}
-				res := closeness.Test(px, py, r, eps, params)
 				if res.Accept {
 					accepts++
 				}
-				samples += int64(res.DrawnX + res.DrawnY)
+				samples += res.SamplesX + res.SamplesY
 			}
 			return 2*accepts > reps, samples, nil
 		},
@@ -135,45 +134,13 @@ func pairRate(ctx context.Context, m twoSampleMethod, inst pairInstance, k int, 
 // budget multiplier on the geometric grid (one √2 refinement) at which
 // the method distinguishes equal pairs from ε-far pairs.
 func minimalPairScale(ctx context.Context, m twoSampleMethod, yes, no pairInstance, k int, eps float64, trials int, minScale float64, r *rng.RNG) (*ScaleSearch, error) {
-	const maxScale = 64.0
-	eval := func(s float64) (y, n RateResult, pass bool, err error) {
-		y, err = pairRate(ctx, m, yes, k, eps, trials, s, r)
-		if err != nil || y.Rate < 0.65 {
-			return
+	return scaleSearch(m.name, minScale, func(s float64, yesSide bool) (RateResult, error) {
+		inst := no
+		if yesSide {
+			inst = yes
 		}
-		n, err = pairRate(ctx, m, no, k, eps, trials, s, r)
-		if err != nil {
-			return
-		}
-		pass = n.Rate <= 0.35
-		return
-	}
-	evals := 0
-	for s := minScale; s <= maxScale; s *= 2 {
-		y, n, pass, err := eval(s)
-		evals += 2
-		if err != nil {
-			return nil, err
-		}
-		if !pass {
-			continue
-		}
-		best := &ScaleSearch{Scale: s, Samples: (y.AvgSamples + n.AvgSamples) / 2, YesRate: y.Rate, NoRate: n.Rate}
-		if s > minScale {
-			mid := s / math.Sqrt2
-			my, mn, mpass, err := eval(mid)
-			evals += 2
-			if err != nil {
-				return nil, err
-			}
-			if mpass {
-				best = &ScaleSearch{Scale: mid, Samples: (my.AvgSamples + mn.AvgSamples) / 2, YesRate: my.Rate, NoRate: mn.Rate}
-			}
-		}
-		best.Evaluations = evals
-		return best, nil
-	}
-	return nil, fmt.Errorf("%w (limit %v, method %s)", ErrNoPassingScale, maxScale, m.name)
+		return pairRate(ctx, m, inst, k, eps, trials, s, r)
+	})
 }
 
 func e15() Experiment {

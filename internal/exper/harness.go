@@ -150,17 +150,29 @@ type ScaleSearch struct {
 // <= 0.35 on No. The tester's empirical sample complexity on the workload
 // is the Samples field of the result.
 func MinimalScale(ctx context.Context, tester baselines.Tester, w Workload, trials int, minScale float64, r *rng.RNG) (*ScaleSearch, error) {
+	return scaleSearch(tester.Name(), minScale, func(s float64, yesSide bool) (RateResult, error) {
+		inst := w.No
+		if yesSide {
+			inst = w.Yes
+		}
+		return AcceptRate(ctx, tester.WithScale(s), inst, w.K, w.Eps, trials, r)
+	})
+}
+
+// scaleSearch is the search behind MinimalScale and its two-sample twin
+// minimalPairScale: rate(s, yesSide) is the accept rate of the tester
+// named name at budget multiplier s on the Yes or the No side.
+func scaleSearch(name string, minScale float64, rate func(s float64, yesSide bool) (RateResult, error)) (*ScaleSearch, error) {
 	if minScale <= 0 {
 		minScale = 1.0 / 256
 	}
 	const maxScale = 64.0
 	eval := func(s float64) (yes, no RateResult, pass bool, err error) {
-		scaled := tester.WithScale(s)
-		yes, err = AcceptRate(ctx, scaled, w.Yes, w.K, w.Eps, trials, r)
+		yes, err = rate(s, true)
 		if err != nil || yes.Rate < 0.65 {
 			return // completeness already failed; skip the no side
 		}
-		no, err = AcceptRate(ctx, scaled, w.No, w.K, w.Eps, trials, r)
+		no, err = rate(s, false)
 		if err != nil {
 			return
 		}
@@ -182,7 +194,7 @@ func MinimalScale(ctx context.Context, tester baselines.Tester, w Workload, tria
 			if s >= 1 && yes.Rate <= 0.25 {
 				lowYesStreak++
 				if lowYesStreak >= 2 {
-					return nil, fmt.Errorf("%w (completeness fails at scale >= 1, tester %s)", ErrNoPassingScale, tester.Name())
+					return nil, fmt.Errorf("%w (completeness fails at scale >= 1, tester %s)", ErrNoPassingScale, name)
 				}
 			}
 			continue
@@ -211,7 +223,7 @@ func MinimalScale(ctx context.Context, tester baselines.Tester, w Workload, tria
 		best.Evaluations = evals
 		return best, nil
 	}
-	return nil, fmt.Errorf("%w (limit %v, tester %s)", ErrNoPassingScale, maxScale, tester.Name())
+	return nil, fmt.Errorf("%w (limit %v, tester %s)", ErrNoPassingScale, maxScale, name)
 }
 
 // fmtCount renders a sample count human-readably.

@@ -191,29 +191,6 @@ func Staircase(n, steps int) *dist.PiecewiseConstant {
 	return dist.MustPiecewiseConstant(n, pieces)
 }
 
-// LogNormal returns the discretized log-normal distribution over [0, n)
-// with the given location and scale of the underlying normal (domain
-// units on a log grid) — the canonical heavy-tailed "file sizes /
-// latencies" column shape.
-func LogNormal(n int, mu, sigma float64) *dist.Dense {
-	if sigma <= 0 {
-		panic("gen: LogNormal needs positive sigma")
-	}
-	p := make([]float64, n)
-	total := 0.0
-	for i := range p {
-		x := float64(i) + 0.5
-		lx := math.Log(x)
-		z := (lx - mu) / sigma
-		p[i] = math.Exp(-z*z/2) / x
-		total += p[i]
-	}
-	for i := range p {
-		p[i] /= total
-	}
-	return dist.MustDense(p)
-}
-
 // PoissonPMF returns the Poisson(lambda) probability mass function
 // truncated to [0, n) and renormalized — a natural unimodal count-data
 // shape.

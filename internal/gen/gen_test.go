@@ -134,34 +134,6 @@ func TestStaircase(t *testing.T) {
 	}
 }
 
-func TestLogNormal(t *testing.T) {
-	d := LogNormal(1024, 4, 0.8)
-	if math.Abs(dist.TotalMass(d)-1) > 1e-9 {
-		t.Fatal("not normalized")
-	}
-	// Unimodal with an interior mode near e^4 ≈ 55.
-	if got := dist.Modality(d); got > 2 {
-		t.Fatalf("modality = %d", got)
-	}
-	mode := 0
-	for i := 1; i < 1024; i++ {
-		if d.Prob(i) > d.Prob(mode) {
-			mode = i
-		}
-	}
-	if mode < 20 || mode > 120 {
-		t.Fatalf("mode at %d, expected near 55", mode)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("sigma<=0 did not panic")
-			}
-		}()
-		LogNormal(16, 0, 0)
-	}()
-}
-
 func TestPoissonPMF(t *testing.T) {
 	d := PoissonPMF(256, 40)
 	if math.Abs(dist.TotalMass(d)-1) > 1e-9 {

@@ -183,9 +183,3 @@ func EvaluateQueries(d dist.Distribution, h *dist.PiecewiseConstant, queries []i
 	}
 	return QueryError{MeanAbs: sum / float64(len(queries)), MaxAbs: worst}
 }
-
-// SSE returns the squared ℓ2 error between d and the histogram h — the
-// objective V-optimal minimizes.
-func SSE(d dist.Distribution, h *dist.PiecewiseConstant) float64 {
-	return dist.L2Squared(d, h)
-}

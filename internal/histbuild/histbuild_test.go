@@ -100,8 +100,8 @@ func TestVOptimalBeatsEquiWidthOnSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if SSE(d, vo) > SSE(d, ew)+1e-15 {
-		t.Fatalf("V-optimal SSE %v worse than equi-width %v", SSE(d, vo), SSE(d, ew))
+	if dist.L2Squared(d, vo) > dist.L2Squared(d, ew)+1e-15 {
+		t.Fatalf("V-optimal SSE %v worse than equi-width %v", dist.L2Squared(d, vo), dist.L2Squared(d, ew))
 	}
 }
 
@@ -119,7 +119,7 @@ func TestVOptimalDominatesAllMethods(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		voSSE := SSE(d, vo)
+		voSSE := dist.L2Squared(d, vo)
 		for _, m := range []Method{EquiWidth, EquiDepth, MaxDiff} {
 			h, err := Build(d, 8, m)
 			if err != nil {
@@ -127,8 +127,8 @@ func TestVOptimalDominatesAllMethods(t *testing.T) {
 			}
 			// Allowance: V-optimal is computed on the unnormalized fit and
 			// then renormalized, which can cost a hair on non-histograms.
-			if voSSE > SSE(d, h)*1.02+1e-15 {
-				t.Fatalf("workload %d: V-optimal SSE %v worse than %s's %v", wi, voSSE, m, SSE(d, h))
+			if voSSE > dist.L2Squared(d, h)*1.02+1e-15 {
+				t.Fatalf("workload %d: V-optimal SSE %v worse than %s's %v", wi, voSSE, m, dist.L2Squared(d, h))
 			}
 		}
 	}

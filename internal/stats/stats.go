@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit shared by the
-// testers and the experiment harness: success-probability amplification by
-// median/majority of repetitions (the standard trick invoked in §3.2.1 of
-// the paper), concentration-bound helpers, and binomial confidence
-// intervals for the Monte-Carlo experiments.
+// testers and the experiment harness: medians and repetition counts for
+// success-probability amplification (the standard trick invoked in §3.2.1
+// of the paper), sample moments, and binomial confidence intervals for the
+// Monte-Carlo experiments.
 package stats
 
 import (
@@ -34,35 +34,6 @@ func MedianInPlace(xs []float64) float64 {
 		return xs[mid]
 	}
 	return (xs[mid-1] + xs[mid]) / 2
-}
-
-// MedianOf runs trial() reps times and returns the median result.
-// If a subroutine is correct with probability >= 2/3, the median of
-// Θ(log(1/δ)) repetitions is correct with probability >= 1-δ (Chernoff).
-func MedianOf(reps int, trial func() float64) float64 {
-	if reps < 1 {
-		panic("stats: MedianOf needs at least one repetition")
-	}
-	vals := make([]float64, reps)
-	for i := range vals {
-		vals[i] = trial()
-	}
-	return Median(vals)
-}
-
-// MajorityOf runs trial() reps times and returns the majority boolean
-// (ties resolve to false).
-func MajorityOf(reps int, trial func() bool) bool {
-	if reps < 1 {
-		panic("stats: MajorityOf needs at least one repetition")
-	}
-	yes := 0
-	for i := 0; i < reps; i++ {
-		if trial() {
-			yes++
-		}
-	}
-	return 2*yes > reps
 }
 
 // RepsForConfidence returns the (odd) number of independent repetitions of
@@ -108,33 +79,6 @@ func Variance(xs []float64) float64 {
 		sum += d * d
 	}
 	return sum / float64(len(xs)-1)
-}
-
-// HoeffdingSamples returns the number of i.i.d. [0,1]-bounded observations
-// needed so that the empirical mean deviates from the truth by more than
-// eps with probability at most delta: m >= ln(2/delta) / (2 eps²).
-func HoeffdingSamples(eps, delta float64) int {
-	if eps <= 0 || delta <= 0 {
-		panic("stats: Hoeffding needs positive eps and delta")
-	}
-	return int(math.Ceil(math.Log(2/delta) / (2 * eps * eps)))
-}
-
-// ChernoffUpperTail bounds Pr[X >= (1+t)·mu] for a sum X of independent
-// [0,1] variables with mean mu, t >= 0: exp(-t²·mu / (2+t)).
-func ChernoffUpperTail(mu, t float64) float64 {
-	if t < 0 {
-		panic("stats: ChernoffUpperTail needs t >= 0")
-	}
-	return math.Exp(-t * t * mu / (2 + t))
-}
-
-// ChernoffLowerTail bounds Pr[X <= (1-t)·mu], 0 <= t <= 1: exp(-t²·mu/2).
-func ChernoffLowerTail(mu, t float64) float64 {
-	if t < 0 || t > 1 {
-		panic("stats: ChernoffLowerTail needs t in [0,1]")
-	}
-	return math.Exp(-t * t * mu / 2)
 }
 
 // Wilson returns the Wilson score interval [lo, hi] for a binomial
