@@ -217,6 +217,14 @@ func BenchmarkCoreTestHotPathEngineCDKL22ClosedForm2p20(b *testing.B) {
 	benchhot.CoreTestHotPathCDKLInline(b)
 }
 
+// BenchmarkZPerIntervalCDKLInline2p20 and BenchmarkZPerIntervalSieve1e5
+// time one per-interval χ² statistic, the walk of a batch's counts
+// included: over the cdkl-inline flatness batch (n = 2²⁰, about 36% of
+// the slots occupied) and over a fully occupied adk sieve batch at
+// n = 10⁵.
+func BenchmarkZPerIntervalCDKLInline2p20(b *testing.B) { benchhot.ZPerIntervalCDKLInline(b) }
+func BenchmarkZPerIntervalSieve1e5(b *testing.B)       { benchhot.ZPerIntervalSieve1e5(b) }
+
 // BenchmarkIngestSoak and its ParallelN variants measure aggregate
 // sharded-accumulator ingest throughput — the events/s numbers of the
 // ledger's ingest entries; N goroutines pour 4096-event batches into one

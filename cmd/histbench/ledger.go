@@ -54,6 +54,12 @@ var ledgerEntries = []benchEntry{
 	{"BenchmarkDrawNCountsDense2p20", "draw", 1,
 		"one exact DrawNCounts batch of 478,800 draws over the cdkl-inline 1024-bucket reference, n=2^20 (dense backing out of L2)",
 		benchhot.DrawNCountsDense2p20},
+	{"BenchmarkZPerIntervalCDKLInline2p20", "walk", 1,
+		"one chisq.ZPerIntervalInto over the cdkl-inline flatness batch: closed-form counts of mean 512,000 over the 1024-bucket reference, n=2^20 (about 36% of the slots occupied)",
+		benchhot.ZPerIntervalCDKLInline},
+	{"BenchmarkZPerIntervalSieve1e5", "walk", 1,
+		"one chisq.ZPerIntervalInto over an adk sieve batch: closed-form counts of the sieve mean (about 2.3e6) over the n=10^5 8-histogram, every slot occupied",
+		benchhot.ZPerIntervalSieve1e5},
 	{"BenchmarkIngestSoak", "ingest", 1, "", func(b *testing.B) { benchhot.IngestSoak(b, 1) }},
 	{"BenchmarkIngestSoakParallel2", "ingest", 2, "", func(b *testing.B) { benchhot.IngestSoak(b, 2) }},
 	{"BenchmarkIngestSoakParallel4", "ingest", 4, "", func(b *testing.B) { benchhot.IngestSoak(b, 4) }},

@@ -107,6 +107,22 @@ func (t *ILR12) Run(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int, eps
 		}
 		mFlat := int(math.Ceil(t.FlatC * math.Sqrt(float64(k)*float64(n)) / math.Pow(eps, 4)))
 		flatCounts := oracle.NewCounts(n, oracle.DrawN(o, mFlat))
+		// Conditional samples and collisions inside each interval, from
+		// one walk with a forward interval cursor.
+		cIs := make([]int, p.Count())
+		colls := make([]int64, p.Count())
+		j, hi := 0, p.Interval(0).Hi
+		w := flatCounts.Walk()
+		for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+			for _, e := range blk {
+				for e.Elem >= hi {
+					j++
+					hi = p.Interval(j).Hi
+				}
+				cIs[j] += e.Count
+				colls[j] += int64(e.Count) * int64(e.Count-1) / 2
+			}
+		}
 		epsLoc := t.LocalEps * eps
 		badMass := 0.0
 		for j := 0; j < p.Count(); j++ {
@@ -114,15 +130,7 @@ func (t *ILR12) Run(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int, eps
 			if iv.Len() == 1 {
 				continue // singletons are trivially flat
 			}
-			// Conditional samples and collisions inside iv.
-			cI := 0
-			var coll int64
-			flatCounts.ForEach(func(i, ni int) {
-				if i >= iv.Lo && i < iv.Hi {
-					cI += ni
-					coll += int64(ni) * int64(ni-1) / 2
-				}
-			})
+			cI, coll := cIs[j], colls[j]
 			// Need enough conditional samples to resolve ℓ2 within iv.
 			need := math.Sqrt(float64(iv.Len())) / (epsLoc * epsLoc)
 			if float64(cI) < need || cI < 2 {

@@ -6,12 +6,15 @@
 package benchhot
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/chisq"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/intervals"
+	"repro/internal/learn"
 	"repro/internal/oracle"
 	"repro/internal/rng"
 )
@@ -130,6 +133,55 @@ func DrawNCountsDense2p20(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		oracle.DrawNCounts(s, 478_800).Release()
+	}
+}
+
+// ZPerIntervalCDKLInline times chisq.ZPerIntervalInto over the
+// cdkl-inline flatness batch: the reference spec at n = 2²⁰, closed-form
+// counts of mean 512,000 (about 36% of the slots occupied), the default
+// flatness ε_f = ε/2 at ε = 0.8.
+func ZPerIntervalCDKLInline(b *testing.B) {
+	const epsF = 0.8 / 2
+	ref, _ := CDKLInlineSpecs()
+	chi := core.PracticalConfig().Chi
+	n := float64(ref.N())
+	zPerInterval(b, ref, chi.SampleMean(ref.N(), epsF), chi.TruncFactor*epsF/n)
+}
+
+// ZPerIntervalSieve1e5 times chisq.ZPerIntervalInto over one adk sieve
+// batch of the n = 10⁵ 8-histogram at ε = 0.8: closed-form counts of
+// the sieve mean (about 2.3·10⁶), so every slot is occupied.
+func ZPerIntervalSieve1e5(b *testing.B) {
+	const eps = 0.8
+	h := EightHistogram(100_000)
+	cfg := core.PracticalConfig()
+	n := float64(h.N())
+	alpha := cfg.Alpha(eps)
+	zPerInterval(b, h, cfg.SieveMFactor*math.Sqrt(n)/(alpha*alpha), cfg.Chi.TruncFactor*eps/n)
+}
+
+// zPerInterval times the per-interval statistic over one batch of the
+// given mean from h, against the partition and D̂ that PracticalConfig's
+// partition and learn stages produce at k = 8, ε = 0.8. Everything but
+// the statistic is built before the timer starts.
+func zPerInterval(b *testing.B, h *dist.PiecewiseConstant, mean, tau float64) {
+	const k, eps = 8, 0.8
+	cfg := core.PracticalConfig()
+	s, r := oracle.NewSampler(h, rng.New(1)), rng.New(2)
+	part, err := learn.ApproxPart(s, r, cfg.PartB(k, eps), cfg.PartSampleC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := part.Partition
+	dhat, _ := learn.Learn(s, r, p, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
+	counts := oracle.DrawCountsWith(s, r, mean, oracle.CountClosedForm)
+	defer counts.Release()
+	g := intervals.FullDomain(h.N())
+	zs := make([]float64, 0, p.Count())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		zs = chisq.ZPerIntervalInto(zs[:0], counts, dhat, p, g, mean, tau)
 	}
 }
 

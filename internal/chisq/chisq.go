@@ -85,7 +85,7 @@ func truncatedMass(dstar dist.Distribution, lo, hi int, tau float64) float64 {
 	return total
 }
 
-// runCursor reads D*(i) for ascending i, the order ForEach visits
+// runCursor reads D*(i) for ascending i, the order a walk visits
 // sampled elements in: it looks up the constant run holding i only once
 // i passes the end of the run it holds, so a walk searches D* once per
 // occupied run instead of once per sampled element. D* is constant on
@@ -113,7 +113,7 @@ func sampledCorrection(ni int, mpi float64) float64 {
 
 // ZDomain computes the statistic over a sub-domain G in a single pass over
 // the samples: O(#samples + #pieces of D* + #pieces of G). Domain
-// membership and D*(i) are resolved by rolling cursors, since ForEach
+// membership and D*(i) are resolved by rolling cursors, since a walk
 // ascends.
 func ZDomain(counts *oracle.Counts, dstar dist.Distribution, g *intervals.Domain, m, tau float64) float64 {
 	gIvs := g.Intervals()
@@ -123,19 +123,23 @@ func ZDomain(counts *oracle.Counts, dstar dist.Distribution, g *intervals.Domain
 	}
 	gi := 0
 	rc := runCursor{dstar: dstar}
-	counts.ForEach(func(i, ni int) {
-		for gi < len(gIvs) && gIvs[gi].Hi <= i {
-			gi++
+	w := counts.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			i := e.Elem
+			for gi < len(gIvs) && gIvs[gi].Hi <= i {
+				gi++
+			}
+			if gi >= len(gIvs) || i < gIvs[gi].Lo {
+				continue
+			}
+			pi := rc.prob(i)
+			if pi < tau {
+				continue
+			}
+			z += sampledCorrection(e.Count, m*pi)
 		}
-		if gi >= len(gIvs) || i < gIvs[gi].Lo {
-			return
-		}
-		pi := rc.prob(i)
-		if pi < tau {
-			return
-		}
-		z += sampledCorrection(ni, m*pi)
-	})
+	}
 	return z
 }
 
@@ -145,7 +149,7 @@ func ZDomain(counts *oracle.Counts, dstar dist.Distribution, g *intervals.Domain
 // the sieve consumes (independent Z_j under Poissonization). The cost is a
 // single pass over the samples plus an O(K + #pieces of G) merge walk:
 // both the partition intervals and the domain pieces are sorted, so their
-// intersections — and, since ForEach ascends, the per-sample domain and
+// intersections — and, since a walk ascends, the per-sample domain and
 // partition and D* lookups — come from linear cursors rather than nested
 // loops or binary searches.
 func ZPerInterval(counts *oracle.Counts, dstar dist.Distribution, p *intervals.Partition, g *intervals.Domain, m, tau float64) []float64 {
@@ -176,21 +180,30 @@ func ZPerIntervalInto(dst []float64, counts *oracle.Counts, dstar dist.Distribut
 			gi++
 		}
 	}
+	j, hi := 0, p.Interval(0).Hi
 	gi := 0
 	rc := runCursor{dstar: dstar}
-	counts.ForEachIn(p, func(j, i, ni int) {
-		for gi < len(gIvs) && gIvs[gi].Hi <= i {
-			gi++
+	w := counts.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			i := e.Elem
+			for i >= hi {
+				j++
+				hi = p.Interval(j).Hi
+			}
+			for gi < len(gIvs) && gIvs[gi].Hi <= i {
+				gi++
+			}
+			if gi >= len(gIvs) || i < gIvs[gi].Lo {
+				continue
+			}
+			pi := rc.prob(i)
+			if pi < tau {
+				continue
+			}
+			zs[j] += sampledCorrection(e.Count, m*pi)
 		}
-		if gi >= len(gIvs) || i < gIvs[gi].Lo {
-			return
-		}
-		pi := rc.prob(i)
-		if pi < tau {
-			return
-		}
-		zs[j] += sampledCorrection(ni, m*pi)
-	})
+	}
 	return dst
 }
 

@@ -60,17 +60,23 @@ func Statistic(x, y *oracle.Counts) float64 {
 	z := 0.0
 	// Iterate the union of supports: first x's elements, then y's elements
 	// that x has not seen.
-	x.ForEach(func(i, xi int) {
-		yi := y.Of(i)
-		d := float64(xi - yi)
-		z += (d*d - float64(xi) - float64(yi)) / float64(xi+yi)
-	})
-	y.ForEach(func(i, yi int) {
-		if x.Of(i) != 0 {
-			return // already counted
+	w := x.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			xi, yi := e.Count, y.Of(e.Elem)
+			d := float64(xi - yi)
+			z += (d*d - float64(xi) - float64(yi)) / float64(xi+yi)
 		}
-		// xi = 0: ((0−yi)² − yi)/yi = yi − 1.
-		z += float64(yi) - 1
-	})
+	}
+	w = y.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			if x.Of(e.Elem) != 0 {
+				continue // already counted
+			}
+			// xi = 0: ((0−yi)² − yi)/yi = yi − 1.
+			z += float64(e.Count) - 1
+		}
+	}
 	return z
 }

@@ -366,9 +366,17 @@ func reducedDecision(cx, cy *oracle.Counts, p *intervals.Partition, chi Params) 
 // fold tallies the counts of c per interval of p into out (a Counts over
 // the domain [p.Count())).
 func fold(c *oracle.Counts, p *intervals.Partition, out *oracle.Counts) {
-	c.ForEachIn(p, func(j, _, count int) {
-		out.AddN(j, count)
-	})
+	j, hi := 0, p.Interval(0).Hi
+	w := c.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			for e.Elem >= hi {
+				j++
+				hi = p.Interval(j).Hi
+			}
+			out.AddN(j, e.Count)
+		}
+	}
 }
 
 // decide scores one count-vector pair: the [CDVV14] statistic against

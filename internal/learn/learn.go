@@ -120,20 +120,23 @@ func ApproxPartContext(ctx context.Context, o oracle.Oracle, r *rng.RNG, b, c fl
 	// Only sampled elements can be heavy or contribute mass; walk the
 	// sampled elements in order and close chunks lazily so the cost is
 	// O(m + K), not O(n).
-	counts.ForEach(func(i, ni int) {
-		ci := float64(ni)
-		if ci >= heavyThr {
-			closeChunk(i)
-			ivs = append(ivs, intervals.Interval{Lo: i, Hi: i + 1})
-			heavy = append(heavy, true)
-			start = i + 1
-			return
+	w := counts.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			i, ci := e.Elem, float64(e.Count)
+			if ci >= heavyThr {
+				closeChunk(i)
+				ivs = append(ivs, intervals.Interval{Lo: i, Hi: i + 1})
+				heavy = append(heavy, true)
+				start = i + 1
+				continue
+			}
+			acc += ci
+			if acc >= chunkThr {
+				closeChunk(i + 1)
+			}
 		}
-		acc += ci
-		if acc >= chunkThr {
-			closeChunk(i + 1)
-		}
-	})
+	}
 	closeChunk(n)
 	if len(ivs) == 0 {
 		// No samples at all (possible only for tiny m): single interval.
@@ -158,9 +161,17 @@ func LaplaceEstimate(counts *oracle.Counts, p *intervals.Partition) *dist.Piecew
 	for j := range masses {
 		masses[j] = 1.0 / float64(m+ell)
 	}
-	counts.ForEachIn(p, func(j, _, ni int) {
-		masses[j] += float64(ni) / float64(m+ell)
-	})
+	j, hi := 0, p.Interval(0).Hi
+	w := counts.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			for e.Elem >= hi {
+				j++
+				hi = p.Interval(j).Hi
+			}
+			masses[j] += float64(e.Count) / float64(m+ell)
+		}
+	}
 	d, err := dist.FromWeights(p, masses)
 	if err != nil {
 		panic(err) // masses are positive and complete by construction
@@ -205,9 +216,17 @@ func EmpiricalFlattening(counts *oracle.Counts, p *intervals.Partition) *dist.Pi
 		panic("learn: empirical flattening of zero samples")
 	}
 	masses := make([]float64, p.Count())
-	counts.ForEachIn(p, func(j, _, ni int) {
-		masses[j] += float64(ni) / float64(m)
-	})
+	j, hi := 0, p.Interval(0).Hi
+	w := counts.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			for e.Elem >= hi {
+				j++
+				hi = p.Interval(j).Hi
+			}
+			masses[j] += float64(e.Count) / float64(m)
+		}
+	}
 	d, err := dist.FromWeights(p, masses)
 	if err != nil {
 		panic(err)

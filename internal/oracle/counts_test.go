@@ -158,6 +158,30 @@ func TestDenseSparseEquivalence(t *testing.T) {
 	}
 }
 
+// TestSecondLiveWalkPanics pins the one-walk-at-a-time rule: a walk's
+// block is the Counts' own buffer, so a second walk started before the
+// first ends would overwrite the block the first is reading.
+func TestSecondLiveWalkPanics(t *testing.T) {
+	samples := []int{1, 3, 3, 6}
+	for _, c := range []*Counts{NewDenseCounts(8, samples), NewSparseCounts(8, samples)} {
+		w := c.Walk()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("dense=%v: a second live walk did not panic", c.Dense())
+				}
+			}()
+			c.ForEach(func(int, int) {})
+		}()
+		// Ending the first walk frees the Counts for the next one.
+		for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		}
+		if got := c.PairCollisions(); got != 1 {
+			t.Errorf("dense=%v: PairCollisions after the walk = %d, want 1", c.Dense(), got)
+		}
+	}
+}
+
 func TestCountsRepresentationHeuristic(t *testing.T) {
 	// Thin samples over a big domain stay sparse; bulk draws over a modest
 	// domain go dense.

@@ -25,12 +25,12 @@ import (
 // callers surface "need more samples" identically on both paths.
 //
 // The draw order is a pure function of the count CONTENTS and the RNG
-// stream: the index is built from Counts.ForEach (ascending elements on
-// both backings), so two Counts holding the same tallies — one dense,
-// one sparse; one accumulated shard-by-shard, one folded serially —
-// yield bit-identical streams from equal seeds. This is what makes a
-// stream-ingested verdict reproducible against a direct run over the
-// same counts.
+// stream: the index is built from a walk of the Counts (ascending
+// elements on both backings), so two Counts holding the same tallies —
+// one dense, one sparse; one accumulated shard-by-shard, one folded
+// serially — yield bit-identical streams from equal seeds. This is what
+// makes a stream-ingested verdict reproducible against a direct run over
+// the same counts.
 //
 // A CountsReplay is not safe for concurrent use and cannot fork (the
 // without-replacement state is inherently serial), mirroring Replay.
@@ -63,11 +63,14 @@ func NewCountsReplay(c *Counts, r *rng.RNG) *CountsReplay {
 		tree:  make([]int64, top+1),
 		r:     r,
 	}
-	c.ForEach(func(elem, count int) {
-		cr.elems = append(cr.elems, int32(elem))
-		cr.tree[len(cr.elems)] = int64(count) // 1-based tree index
-		cr.rem += int64(count)
-	})
+	w := c.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			cr.elems = append(cr.elems, int32(e.Elem))
+			cr.tree[len(cr.elems)] = int64(e.Count) // 1-based tree index
+			cr.rem += int64(e.Count)
+		}
+	}
 	// Linear-time Fenwick construction, padding included: every node below
 	// the root is complete once its children have pushed to it, and then
 	// pushes its own sum to its parent.

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -20,6 +21,18 @@ func FuzzDenseSparseEquivalence(f *testing.F) {
 	f.Add(uint16(512), uint16(9), uint64(4))   // one above
 	f.Add(uint16(1), uint16(100), uint64(5))   // single-element domain
 	f.Add(uint16(300), uint16(300), uint64(6)) // m == n
+	// Exactly walkBlock-1, walkBlock, walkBlock+1 and 2·walkBlock occupied
+	// elements (255, 256, 257, 512): over n = 2048, where the walk
+	// compacts across empty slots, and over a fully occupied domain,
+	// where the last block ends at the domain's end.
+	f.Add(uint16(2047), uint16(261), uint64(84))
+	f.Add(uint16(2047), uint16(262), uint64(84))
+	f.Add(uint16(2047), uint16(263), uint64(84))
+	f.Add(uint16(2047), uint16(565), uint64(67))
+	f.Add(uint16(254), uint16(4095), uint64(7))
+	f.Add(uint16(255), uint16(4095), uint64(7))
+	f.Add(uint16(256), uint16(4095), uint64(7))
+	f.Add(uint16(511), uint16(4095), uint64(7))
 	f.Fuzz(func(t *testing.T, nRaw, mRaw uint16, seed uint64) {
 		n := int(nRaw)%2048 + 1
 		m := int(mRaw) % 4096
@@ -88,6 +101,37 @@ func FuzzDenseSparseEquivalence(f *testing.F) {
 			for i := range seq {
 				if seq[i] != refSeq[i] {
 					t.Fatalf("%s: ForEach[%d] = %v, dense %v", names[idx+1], i, seq[i], refSeq[i])
+				}
+			}
+		}
+
+		// The walk against a plain per-slot loop over a tally of the
+		// samples: on every backing the blocks concatenate to the
+		// occupied slots, ascending, and every block but the last is full.
+		tally := make([]int, n)
+		for _, s := range samples {
+			tally[s]++
+		}
+		var want []ElemCount
+		for i := 0; i < n; i++ {
+			if tally[i] != 0 {
+				want = append(want, ElemCount{i, tally[i]})
+			}
+		}
+		for idx, c := range all {
+			var got []ElemCount
+			var lens []int
+			w := c.Walk()
+			for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+				got = append(got, blk...)
+				lens = append(lens, len(blk))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: walk handed out %v, per-slot reference %v", names[idx], got, want)
+			}
+			for b, l := range lens[:max(len(lens)-1, 0)] {
+				if l != walkBlock {
+					t.Fatalf("%s: block %d of %d holds %d pairs, want %d (block sizes %v)", names[idx], b, len(lens), l, walkBlock, lens)
 				}
 			}
 		}

@@ -10,10 +10,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/dist"
-	"repro/internal/intervals"
 	"repro/internal/rng"
 )
 
@@ -671,6 +670,9 @@ const denseLimit = 1 << 22
 // path) or a sparse map (large domains or thin samples). Both expose the
 // same API and identical iteration order; NewCounts and DrawCounts choose
 // automatically, NewDenseCounts/NewSparseCounts force a backing.
+//
+// A Counts is not safe for concurrent use: a Walk writes its block into
+// the Counts' own buffer.
 type Counts struct {
 	n        int
 	dense    []int32
@@ -678,6 +680,13 @@ type Counts struct {
 	distinct int // dense-mode distinct tally (sparse mode uses len(m))
 	total    int
 	released bool // set by Release; guards the double-release panic
+
+	// Walk state, kept with the Counts (and through the pool) so that a
+	// walk allocates nothing: the sparse backing's sorted keys, the
+	// block a walk hands out, and whether a walk is live.
+	keys    []int
+	blk     [walkBlock]ElemCount
+	walking bool
 }
 
 // useDense reports whether a tally of m samples over [0, n) should use the
@@ -687,7 +696,7 @@ type Counts struct {
 // The m >= n/64 crossover is empirical — see BenchmarkDenseSparseCrossover
 // (densebench_test.go). At n ∈ {2¹⁶, 2²⁰} the dense path wins at every
 // ratio down to m = n/64 (1.5× there, 8–12× at m = n), because the sparse
-// map pays ~80 ns per insert plus a sort in ForEach, while the dense side
+// map pays ~80 ns per insert plus a sort per walk, while the dense side
 // pays ~0.7 ns per domain element to clear and walk; extrapolating those
 // slopes puts the true break-even near m ≈ n/100. n/64 is the thinnest
 // measured point, kept with margin for cache-hostile domains.
@@ -834,63 +843,106 @@ func (c *Counts) Distinct() int {
 	return len(c.m)
 }
 
-// ForEach calls f for every observed element (ascending order) with its
-// count.
-func (c *Counts) ForEach(f func(elem, count int)) {
+// ElemCount is one observed element of a Counts and its count (> 0).
+type ElemCount struct{ Elem, Count int }
+
+// walkBlock is how many pairs one block of a Walk holds: 4 KiB, which
+// stays in L1 beside the consumer's own state.
+const walkBlock = 256
+
+// Walk is one ascending pass over the observed elements of a Counts,
+// handed out a block at a time. Consumers loop over each block inline,
+// with their own forward cursors:
+//
+//	w := c.Walk()
+//	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+//		for _, e := range blk {
+//			// e.Elem ascends across blocks; e.Count > 0
+//		}
+//	}
+//
+// Every block but the last holds walkBlock pairs. A block is the Counts'
+// own buffer, valid until the next call to Next. The walk ends when Next
+// returns an empty block; starting another walk of the same Counts before
+// then panics.
+type Walk struct {
+	c   *Counts
+	pos int // next dense slot, or next index into c.keys
+}
+
+// Walk starts a walk over c's observed elements. A sparse backing's keys
+// are collected and sorted here, into a buffer the Counts keeps.
+func (c *Counts) Walk() Walk {
+	if c.walking {
+		panic("oracle: Walk of a Counts whose previous walk has not ended")
+	}
+	c.walking = true
+	if c.dense == nil {
+		keys := slices.Grow(c.keys[:0], len(c.m))
+		for k := range c.m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		c.keys = keys
+	}
+	return Walk{c: c}
+}
+
+// Next returns the next block of (element, count) pairs in ascending
+// element order, or an empty block, which ends the walk, once every
+// observed element has been handed out.
+func (w *Walk) Next() []ElemCount {
+	c := w.c
+	blk := &c.blk
+	var n uint
 	if c.dense != nil {
-		for i, v := range c.dense {
-			if v != 0 {
-				f(i, int(v))
-			}
+		// Branch-free compaction: every slot is stored at position n,
+		// and n moves past it only if the slot is occupied, so partial
+		// occupancy costs no mispredicted branch.
+		base, rest := w.pos, c.dense[w.pos:]
+		i := 0
+		for ; i < len(rest) && n < walkBlock; i++ {
+			v := rest[i]
+			blk[n] = ElemCount{base + i, int(v)}
+			n += uint(uint32(-v) >> 31) // 1 iff v > 0; counts are never negative
 		}
-		return
+		w.pos += i
+	} else {
+		keys := c.keys[w.pos:min(w.pos+walkBlock, len(c.keys))]
+		for t, k := range keys {
+			blk[t] = ElemCount{k, c.m[k]}
+		}
+		n = uint(len(keys))
+		w.pos += len(keys)
 	}
-	keys := make([]int, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
+	if n == 0 {
+		c.walking = false
 	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		f(k, c.m[k])
+	return blk[:n]
+}
+
+// ForEach calls f for every observed element, ascending, with its
+// count: a walk one pair at a time, for tests and cold callers.
+func (c *Counts) ForEach(f func(elem, count int)) {
+	w := c.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			f(e.Elem, e.Count)
+		}
 	}
 }
 
-// ForEachIn is ForEach that also passes the index j of the interval of
-// p holding elem; p must partition the counts' domain. The index comes
-// from a cursor that moves forward as ForEach ascends, so a walk costs
-// O(distinct + p.Count()) instead of a binary search (p.Find) per
-// element.
-func (c *Counts) ForEachIn(p *intervals.Partition, f func(j, elem, count int)) {
-	j, hi := 0, p.Interval(0).Hi
-	c.ForEach(func(elem, count int) {
-		for elem >= hi {
-			j++
-			hi = p.Interval(j).Hi
-		}
-		f(j, elem, count)
-	})
-}
-
-// InRange returns the number of samples that fell in [lo, hi).
+// InRange returns the number of samples that fell in [lo, hi). It walks
+// every observed element, so callers needing many range queries should
+// use Empirical instead.
 func (c *Counts) InRange(lo, hi int) int {
 	total := 0
-	if c.dense != nil {
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > c.n {
-			hi = c.n
-		}
-		for i := lo; i < hi; i++ {
-			total += int(c.dense[i])
-		}
-		return total
-	}
-	// Iterate the map: cheaper than sorting when called rarely; callers
-	// needing many range queries should use Empirical instead.
-	for k, v := range c.m {
-		if k >= lo && k < hi {
-			total += v
+	w := c.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			if e.Elem >= lo && e.Elem < hi {
+				total += e.Count
+			}
 		}
 	}
 	return total
@@ -904,9 +956,12 @@ func (c *Counts) Empirical() *dist.Dense {
 		panic("oracle: empirical distribution of zero samples")
 	}
 	p := make([]float64, c.n)
-	c.ForEach(func(i, v int) {
-		p[i] = float64(v) / float64(c.total)
-	})
+	w := c.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			p[e.Elem] = float64(e.Count) / float64(c.total)
+		}
+	}
 	return dist.MustDense(p)
 }
 
@@ -916,9 +971,12 @@ func (c *Counts) Empirical() *dist.Dense {
 // exactly this.
 func (c *Counts) Fingerprint() map[int]int {
 	fp := make(map[int]int)
-	c.ForEach(func(_, v int) {
-		fp[v]++
-	})
+	w := c.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			fp[e.Count]++
+		}
+	}
 	return fp
 }
 
@@ -926,8 +984,11 @@ func (c *Counts) Fingerprint() map[int]int {
 // collided: Σ_i C(count_i, 2).
 func (c *Counts) PairCollisions() int64 {
 	var total int64
-	c.ForEach(func(_, v int) {
-		total += int64(v) * int64(v-1) / 2
-	})
+	w := c.Walk()
+	for blk := w.Next(); len(blk) > 0; blk = w.Next() {
+		for _, e := range blk {
+			total += int64(e.Count) * int64(e.Count-1) / 2
+		}
+	}
 	return total
 }

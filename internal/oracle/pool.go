@@ -122,7 +122,7 @@ func acquireCountsSized(n, m int) *Counts {
 			stripe.misses.Add(1)
 			c.dense = make([]int32, n)
 		}
-		c.n, c.m, c.distinct, c.total, c.released = n, nil, 0, 0, false
+		c.n, c.m, c.distinct, c.total, c.released, c.walking = n, nil, 0, 0, false, false
 		return c
 	}
 	c := sparsePool.Get().(*Counts)
@@ -133,7 +133,7 @@ func acquireCountsSized(n, m int) *Counts {
 		stripe.hits.Add(1)
 		clear(c.m)
 	}
-	c.n, c.dense, c.distinct, c.total, c.released = n, nil, 0, 0, false
+	c.n, c.dense, c.distinct, c.total, c.released, c.walking = n, nil, 0, 0, false, false
 	return c
 }
 
