@@ -125,6 +125,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFromBoundaries -fuzztime=$(FUZZTIME) ./internal/intervals/
 	$(GO) test -fuzz=FuzzDomainAlgebra -fuzztime=$(FUZZTIME) ./internal/intervals/
 	$(GO) test -fuzz=FuzzProjectTV -fuzztime=$(FUZZTIME) ./internal/histdp/
+	$(GO) test -fuzz=FuzzSegmentSweep -fuzztime=$(FUZZTIME) ./internal/histdp/
 	$(GO) test -fuzz=FuzzSerializeRoundTrip -fuzztime=$(FUZZTIME) ./histtest/
 	$(GO) test -fuzz=FuzzDenseSparseEquivalence -fuzztime=$(FUZZTIME) ./internal/oracle/
 	$(GO) test -fuzz=FuzzSamplerBatchTally -fuzztime=$(FUZZTIME) ./internal/oracle/
@@ -134,14 +135,15 @@ fuzz:
 # Quick fuzz smoke for CI: the differential targets that guard the wire
 # format, the dense/sparse counting crossover, the fused exact-draw
 # tally against the per-draw sampler, the replay batch kernel against
-# the per-draw replay, and the request-body decoder against
-# encoding/json.
+# the per-draw replay, the request-body decoder against encoding/json,
+# and the one-sweep segment DP against the layer-by-layer recurrence.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./histtest/
 	$(GO) test -fuzz=FuzzDenseSparseEquivalence -fuzztime=10s ./internal/oracle/
 	$(GO) test -fuzz=FuzzSamplerBatchTally -fuzztime=10s ./internal/oracle/
 	$(GO) test -fuzz=FuzzReplayBatchTally -fuzztime=10s ./internal/oracle/
 	$(GO) test -fuzz=FuzzDecodeBody -fuzztime=10s ./internal/serve/
+	$(GO) test -fuzz=FuzzSegmentSweep -fuzztime=10s ./internal/histdp/
 
 # Coverage ratchet: measure statement coverage and fail when it drops
 # more than 1pt — total or per-package — below the committed

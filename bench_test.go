@@ -225,6 +225,13 @@ func BenchmarkCoreTestHotPathEngineCDKL22ClosedForm2p20(b *testing.B) {
 func BenchmarkZPerIntervalCDKLInline2p20(b *testing.B) { benchhot.ZPerIntervalCDKLInline(b) }
 func BenchmarkZPerIntervalSieve1e5(b *testing.B)       { benchhot.ZPerIntervalSieve1e5(b) }
 
+// BenchmarkProjectTVCDKLInline2p20 and BenchmarkProjectTVUniform2p20K32
+// time the check-stage DP over a learned D̂: the cdkl-inline reference at
+// k = 8, ε = 0.8, and the uniform distribution at k = 32, ε = 0.5, both
+// over n = 2²⁰.
+func BenchmarkProjectTVCDKLInline2p20(b *testing.B) { benchhot.ProjectTVCDKLInline(b) }
+func BenchmarkProjectTVUniform2p20K32(b *testing.B) { benchhot.ProjectTVUniform2p20(b) }
+
 // BenchmarkIngestSoak and its ParallelN variants measure aggregate
 // sharded-accumulator ingest throughput — the events/s numbers of the
 // ledger's ingest entries; N goroutines pour 4096-event batches into one

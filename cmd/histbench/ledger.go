@@ -60,6 +60,12 @@ var ledgerEntries = []benchEntry{
 	{"BenchmarkZPerIntervalSieve1e5", "walk", 1,
 		"one chisq.ZPerIntervalInto over an adk sieve batch: closed-form counts of the sieve mean (about 2.3e6) over the n=10^5 8-histogram, every slot occupied",
 		benchhot.ZPerIntervalSieve1e5},
+	{"BenchmarkProjectTVCDKLInline2p20", "dp", 1,
+		"one histdp.ProjectTV at k=8 over the D̂ learned from the cdkl-inline reference at eps=0.8, n=2^20 (the check stage of a cdkl-inline run)",
+		benchhot.ProjectTVCDKLInline},
+	{"BenchmarkProjectTVUniform2p20K32", "dp", 1,
+		"one histdp.ProjectTV at k=32 over the D̂ learned from the uniform distribution at eps=0.5, n=2^20",
+		benchhot.ProjectTVUniform2p20},
 	{"BenchmarkIngestSoak", "ingest", 1, "", func(b *testing.B) { benchhot.IngestSoak(b, 1) }},
 	{"BenchmarkIngestSoakParallel2", "ingest", 2, "", func(b *testing.B) { benchhot.IngestSoak(b, 2) }},
 	{"BenchmarkIngestSoakParallel4", "ingest", 4, "", func(b *testing.B) { benchhot.IngestSoak(b, 4) }},

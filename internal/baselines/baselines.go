@@ -137,9 +137,6 @@ func (t *Naive) Run(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int, eps
 		if maxDP <= 0 {
 			maxDP = 2048
 		}
-		if maxDP > histdp.MaxPieces {
-			maxDP = histdp.MaxPieces
-		}
 		var pc *dist.PiecewiseConstant
 		if n <= maxDP {
 			pc = emp.ToPiecewiseConstant()
@@ -220,7 +217,7 @@ func (t *CDGR16) Run(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int, ep
 			return false, err
 		}
 		full := intervals.FullDomain(n)
-		proj, err := histdp.ProjectTV(dhat, k, full)
+		proj, err := histdp.ProjectTV(ctx, dhat, k, full)
 		if err != nil {
 			return false, err
 		}

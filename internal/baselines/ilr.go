@@ -93,7 +93,7 @@ func (t *ILR12) Run(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int, eps
 		mMass := int(math.Ceil(t.MassSampleC * float64(p.Count()) / (eps * eps)))
 		massCounts := oracle.NewCounts(n, oracle.DrawN(o, mMass))
 		flat := learn.LaplaceEstimate(massCounts, p)
-		proj, err := histdp.ProjectTV(flat, k, intervals.FullDomain(n))
+		proj, err := histdp.ProjectTV(ctx, flat, k, intervals.FullDomain(n))
 		if err != nil {
 			return false, err
 		}

@@ -6,6 +6,7 @@
 package benchhot
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gen"
+	"repro/internal/histdp"
 	"repro/internal/intervals"
 	"repro/internal/learn"
 	"repro/internal/oracle"
@@ -165,15 +167,7 @@ func ZPerIntervalSieve1e5(b *testing.B) {
 // partition and learn stages produce at k = 8, ε = 0.8. Everything but
 // the statistic is built before the timer starts.
 func zPerInterval(b *testing.B, h *dist.PiecewiseConstant, mean, tau float64) {
-	const k, eps = 8, 0.8
-	cfg := core.PracticalConfig()
-	s, r := oracle.NewSampler(h, rng.New(1)), rng.New(2)
-	part, err := learn.ApproxPart(s, r, cfg.PartB(k, eps), cfg.PartSampleC)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := part.Partition
-	dhat, _ := learn.Learn(s, r, p, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
+	s, r, p, dhat := learned(b, h, 8, 0.8)
 	counts := oracle.DrawCountsWith(s, r, mean, oracle.CountClosedForm)
 	defer counts.Release()
 	g := intervals.FullDomain(h.N())
@@ -182,6 +176,50 @@ func zPerInterval(b *testing.B, h *dist.PiecewiseConstant, mean, tau float64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		zs = chisq.ZPerIntervalInto(zs[:0], counts, dhat, p, g, mean, tau)
+	}
+}
+
+// learned runs PracticalConfig's partition and learn stages on h at
+// (k, eps) and returns the sampler and RNG they drew from, the partition
+// and D̂.
+func learned(b *testing.B, h *dist.PiecewiseConstant, k int, eps float64) (*oracle.Sampler, *rng.RNG, *intervals.Partition, *dist.PiecewiseConstant) {
+	cfg := core.PracticalConfig()
+	s, r := oracle.NewSampler(h, rng.New(1)), rng.New(2)
+	part, err := learn.ApproxPart(s, r, cfg.PartB(k, eps), cfg.PartSampleC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dhat, _ := learn.Learn(s, r, part.Partition, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
+	return s, r, part.Partition, dhat
+}
+
+// ProjectTVCDKLInline times the check-stage DP of a cdkl-inline run:
+// histdp.ProjectTV at k = 8 on the full domain, over the D̂ learned from
+// the cdkl-inline reference at ε = 0.8.
+func ProjectTVCDKLInline(b *testing.B) {
+	ref, _ := CDKLInlineSpecs()
+	projectTV(b, ref, 8, 0.8)
+}
+
+// ProjectTVUniform2p20 times the same DP at k = 32 over the D̂ learned
+// from the uniform distribution over n = 2²⁰ at ε = 0.5, ten times the
+// pieces of the cdkl-inline D̂.
+func ProjectTVUniform2p20(b *testing.B) {
+	projectTV(b, dist.Uniform(1<<20), 32, 0.5)
+}
+
+// projectTV times histdp.ProjectTV at k over the D̂ that PracticalConfig's
+// partition and learn stages produce from h at (k, eps), built before the
+// timer starts.
+func projectTV(b *testing.B, h *dist.PiecewiseConstant, k int, eps float64) {
+	_, _, _, dhat := learned(b, h, k, eps)
+	g := intervals.FullDomain(h.N())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := histdp.ProjectTV(context.Background(), dhat, k, g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/histdp"
 	"repro/internal/intervals"
 	"repro/internal/obs"
 	"repro/internal/oracle"
@@ -229,6 +230,24 @@ func (a *Arena) fail(samples int64, err error) (*Result, error) {
 	return nil, err
 }
 
+// check is the check stage of both engines (Step 10 of Algorithm 1):
+// the DP distance of D̂ to H_k on g, run under ctx and recorded in
+// tr.CheckRelaxed. It returns the reject reason, naming g by on, when
+// that distance exceeds tol, and "" when it does not.
+func (a *Arena) check(ctx context.Context, tr *Trace, dhat *dist.PiecewiseConstant, k int, g *intervals.Domain, tol float64, on string) (string, error) {
+	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageCheck})
+	proj, err := histdp.ProjectTV(ctx, dhat, k, g)
+	if err != nil {
+		return "", fmt.Errorf("core: check DP failed: %w", err)
+	}
+	tr.CheckRelaxed = proj.Relaxed
+	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageCheck})
+	if proj.Relaxed > tol {
+		return fmt.Sprintf("distance of D̂ to H_k on %s is %.5f > tolerance %.5f", on, proj.Relaxed, tol), nil
+	}
+	return "", nil
+}
+
 // Test runs the engine selected by cfg.Engine (Algorithm 1 of the
 // source paper by default): decide whether the distribution behind o is
 // a k-histogram (accept) or ε-far from every k-histogram (reject), each
@@ -246,7 +265,7 @@ func Test(o oracle.Oracle, r *rng.RNG, k int, eps float64, cfg Config) (*Result,
 }
 
 // TestContext is Test honoring ctx: the run aborts with ctx.Err() at
-// sieve-round and batch-draw granularity (see Arena.TestContext).
+// sieve-round, batch-draw and DP-row granularity (see Arena.TestContext).
 func TestContext(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int, eps float64, cfg Config) (*Result, error) {
 	return NewArena().TestContext(ctx, o, r, k, eps, cfg)
 }
@@ -270,8 +289,9 @@ func (a *Arena) Test(o oracle.Oracle, r *rng.RNG, k int, eps float64, cfg Config
 // every registered engine by the conformance suite.
 //
 // Cancellation contract: the context is checked before every Poissonized
-// batch draw and at every round boundary, so a cancelled run returns
-// ctx.Err() within one decision round of the cancellation. In-flight
+// batch draw, at every round boundary and before every row of the
+// check-stage DP, so a cancelled run returns ctx.Err() within one
+// decision round or one DP row of the cancellation. In-flight
 // replicate batches complete and release their pooled count buffers
 // before the error returns — a cancelled run retains no pooled Counts
 // (asserted by TestCancellationReleasesPooledCounts) — and clone draws

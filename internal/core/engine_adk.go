@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/chisq"
 	"repro/internal/dist"
-	"repro/internal/histdp"
 	"repro/internal/intervals"
 	"repro/internal/learn"
 	"repro/internal/obs"
@@ -303,16 +302,12 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 		return a.fail(tr.TotalSamples(), err)
 	}
 	if !cfg.SkipCheck {
-		a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageCheck})
-		proj, err := histdp.ProjectTV(dhat, k, g)
+		reason, err := a.check(ctx, &tr, dhat, k, g, eps/cfg.CheckTolDivisor, "G")
 		if err != nil {
-			return a.fail(tr.TotalSamples(), fmt.Errorf("core: check DP failed: %w", err))
+			return a.fail(tr.TotalSamples(), err)
 		}
-		tr.CheckRelaxed = proj.Relaxed
-		a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageCheck})
-		tol := eps / cfg.CheckTolDivisor
-		if proj.Relaxed > tol {
-			return reject(StageCheck, fmt.Sprintf("distance of D̂ to H_k on G is %.5f > tolerance %.5f", proj.Relaxed, tol))
+		if reason != "" {
+			return reject(StageCheck, reason)
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/chisq"
-	"repro/internal/histdp"
 	"repro/internal/intervals"
 	"repro/internal/learn"
 	"repro/internal/obs"
@@ -119,16 +118,12 @@ func (cdklEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG
 		return a.fail(tr.TotalSamples(), err)
 	}
 	if !cfg.SkipCheck {
-		a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageCheck})
-		proj, err := histdp.ProjectTV(dhat, k, g)
+		reason, err := a.check(ctx, &tr, dhat, k, g, eps/cfg.flatCheckTolDivisor(), "the full domain")
 		if err != nil {
-			return a.fail(tr.TotalSamples(), fmt.Errorf("core: check DP failed: %w", err))
+			return a.fail(tr.TotalSamples(), err)
 		}
-		tr.CheckRelaxed = proj.Relaxed
-		a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageCheck})
-		tol := eps / cfg.flatCheckTolDivisor()
-		if proj.Relaxed > tol {
-			return reject(StageCheck, fmt.Sprintf("distance of D̂ to H_k on the full domain is %.5f > tolerance %.5f", proj.Relaxed, tol))
+		if reason != "" {
+			return reject(StageCheck, reason)
 		}
 	}
 

@@ -29,6 +29,11 @@ const (
 	VOptimal  Method = "voptimal"  // least-squares optimal buckets [JKM+98]
 )
 
+// vOptMaxPieces bounds the input of the V-optimal DP, which costs
+// O(k·B²) time over B pieces: a dense n-piece input would cost O(k·n²),
+// so a finer input is first flattened onto this many equal-width buckets.
+const vOptMaxPieces = 4096
+
 // Methods lists all supported construction methods.
 func Methods() []Method { return []Method{EquiWidth, EquiDepth, MaxDiff, VOptimal} }
 
@@ -49,9 +54,8 @@ func Build(d dist.Distribution, k int, method Method) (*dist.PiecewiseConstant, 
 		return dist.Flatten(d, maxDiffPartition(d, k)), nil
 	case VOptimal:
 		pc := asPC(d)
-		if pc.PieceCount() > histdp.MaxPieces {
-			// Coarsen to the DP limit first.
-			pc = dist.Flatten(pc, intervals.EquiWidth(n, histdp.MaxPieces))
+		if pc.PieceCount() > vOptMaxPieces {
+			pc = dist.Flatten(pc, intervals.EquiWidth(n, vOptMaxPieces))
 		}
 		proj, _, err := histdp.ProjectL2(pc, k)
 		return proj, err

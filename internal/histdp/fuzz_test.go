@@ -1,6 +1,7 @@
 package histdp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -41,7 +42,7 @@ func FuzzProjectTV(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		proj, err := ProjectTV(d, k, intervals.FullDomain(n))
+		proj, err := ProjectTV(context.Background(), d, k, intervals.FullDomain(n))
 		if err != nil {
 			t.Fatalf("ProjectTV: %v", err)
 		}

@@ -20,20 +20,22 @@
 // true distance to the class of k-histogram distributions; normalizing the
 // relaxed optimizer gives a feasible k-histogram whose distance
 // upper-bounds it. Both values are reported.
+//
+// Both programs, and the distance curve, run one k-segment sweep
+// (segment) over rows of segment costs computed as it needs them: O(k·B)
+// memory over B pieces, with no bound on B.
 package histdp
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/intervals"
 )
-
-// MaxPieces bounds the DP size: the segment-cost table is quadratic in the
-// number of pieces (4096² float64 ≈ 134 MB).
-const MaxPieces = 4096
 
 // Projection is the result of projecting a distribution onto H_k.
 type Projection struct {
@@ -52,83 +54,137 @@ type Projection struct {
 
 // ProjectTV projects d onto the class of k-histograms, measuring distance
 // by total variation restricted to g. See the package comment for the
-// relaxation semantics.
-func ProjectTV(d *dist.PiecewiseConstant, k int, g *intervals.Domain) (*Projection, error) {
+// relaxation semantics. The DP checks ctx before every row of segment
+// costs and returns ctx.Err() once ctx is done.
+func ProjectTV(ctx context.Context, d *dist.PiecewiseConstant, k int, g *intervals.Domain) (*Projection, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("histdp: k = %d must be positive", k)
 	}
-	if d.N() != g.N() {
-		return nil, fmt.Errorf("histdp: domain mismatch %d vs %d", d.N(), g.N())
+	t, err := newTVCost(d, g)
+	if err != nil {
+		return nil, err
 	}
-	pieces := d.Pieces()
-	B := len(pieces)
-	if B > MaxPieces {
-		return nil, fmt.Errorf("histdp: %d pieces exceeds limit %d; coarsen the input", B, MaxPieces)
-	}
-	vals := make([]float64, B)    // per-element probability of each piece
-	weights := make([]float64, B) // number of piece elements inside g
-	gIvs := g.Intervals()         // hoisted: Intervals() copies per call
-	for j, pc := range pieces {
-		vals[j] = pc.Mass / float64(pc.Iv.Len())
-		w := 0
-		for _, giv := range gIvs {
-			w += pc.Iv.Intersect(giv).Len()
-		}
-		weights[j] = float64(w)
-	}
-
-	if k >= B {
+	if k >= len(t.vals) {
 		// d itself is feasible (it is a distribution with <= k pieces).
 		return &Projection{Relaxed: 0, Projected: d, Distance: 0, Cuts: d.Partition().Boundaries()}, nil
 	}
-
-	cost := segmentCosts(vals, weights)
-
-	// dp[j][b]: minimal ℓ1 cost splitting pieces 0..b into j segments.
-	const inf = math.MaxFloat64
-	prev := make([]float64, B)
-	cur := make([]float64, B)
-	// choice[j][b]: start piece of the last segment in the optimum. Rows
-	// share one flat k·B backing (same rationale as segmentCosts).
-	choice := make([][]int32, k)
-	choiceFlat := make([]int32, k*B)
-	for j := range choice {
-		choice[j] = choiceFlat[j*B : (j+1)*B : (j+1)*B]
+	s, err := segment(ctx, len(t.vals), k, t.rows())
+	if err != nil {
+		return nil, err
 	}
-	for b := 0; b < B; b++ {
-		prev[b] = cost[0][b]
-		choice[0][b] = 0
+	return t.project(d, g, s.last(k-1), s.starts(k-1)), nil
+}
+
+// DistanceToHk returns lower and upper bounds on the true restricted TV
+// distance from d to the class of k-histogram distributions (see the
+// package comment: the DP relaxation brackets the constrained optimum).
+func DistanceToHk(d *dist.PiecewiseConstant, k int, g *intervals.Domain) (lower, upper float64, err error) {
+	proj, err := ProjectTV(context.Background(), d, k, g)
+	if err != nil {
+		return 0, 0, err
 	}
-	segs := 1
-	for j := 1; j < k; j++ {
-		for b := 0; b < B; b++ {
-			best, bestA := prev[b], int32(choice[j-1][b])
-			if j <= b { // need at least j+1 pieces for j+1 segments? segments may cover >=1 piece each
-				for a := j; a <= b; a++ {
-					if prev[a-1] == inf {
-						continue
-					}
-					if c := prev[a-1] + cost[a][b]; c < best {
-						best, bestA = c, int32(a)
-					}
-				}
+	return proj.Relaxed, proj.Distance, nil
+}
+
+// DistanceCurve returns the relaxed distance of d to H_k for every
+// k = 1..kMax in a single DP pass (curve[k-1] is the distance at k) —
+// the scree curve driving "how many bins does this column need" analyses.
+// Layer j of one sweep holds the best cover with at most j+1 segments,
+// so the whole curve costs one projection at k = kMax.
+func DistanceCurve(d *dist.PiecewiseConstant, kMax int, g *intervals.Domain) ([]float64, error) {
+	if kMax < 1 {
+		return nil, fmt.Errorf("histdp: kMax = %d must be positive", kMax)
+	}
+	t, err := newTVCost(d, g)
+	if err != nil {
+		return nil, err
+	}
+	curve := make([]float64, kMax) // zero from k = B on: d fits exactly
+	layers := min(kMax, len(t.vals))
+	s, err := segment(context.Background(), len(t.vals), layers, t.rows())
+	if err != nil {
+		return nil, err
+	}
+	for j := 0; j < layers; j++ {
+		curve[j] = s.last(j) / 2
+	}
+	return curve, nil
+}
+
+// tvCost holds the inputs of the TV segment cost: per piece of d, its
+// per-element probability and its weight, the number of its elements
+// inside g.
+type tvCost struct {
+	pieces  []dist.Piece
+	vals    []float64
+	weights []float64
+}
+
+func newTVCost(d *dist.PiecewiseConstant, g *intervals.Domain) (tvCost, error) {
+	if d.N() != g.N() {
+		return tvCost{}, fmt.Errorf("histdp: domain mismatch %d vs %d", d.N(), g.N())
+	}
+	pieces := d.Pieces()
+	t := tvCost{pieces: pieces, vals: make([]float64, len(pieces)), weights: make([]float64, len(pieces))}
+	for j, pc := range pieces {
+		t.vals[j] = pc.Mass / float64(pc.Iv.Len())
+		w := 0
+		for _, giv := range g.Intervals() {
+			w += pc.Iv.Intersect(giv).Len()
+		}
+		t.weights[j] = float64(w)
+	}
+	return t, nil
+}
+
+// rows returns the row function of the TV segment cost: row(a, c) sets
+// c[b] = min over v of Σ_{j=a..b} w_j·|vals_j−v| for a <= b < B, the
+// weighted-median deviation of the run, extending a Fenwick pair over the
+// global value ranks one piece at a time (O(B log B) per row).
+func (t tvCost) rows() func(a int, c []float64) {
+	vals, weights := t.vals, t.weights
+	B := len(vals)
+	ranks := rankOf(vals)
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
+	fw := newFenwick(B)  // total weight per rank
+	fwv := newFenwick(B) // weight·value per rank
+	return func(a int, c []float64) {
+		fw.reset()
+		fwv.reset()
+		totalW, totalWV := 0.0, 0.0
+		for b := a; b < B; b++ {
+			if weights[b] > 0 {
+				fw.add(ranks[b], weights[b])
+				fwv.add(ranks[b], weights[b]*vals[b])
+				totalW += weights[b]
+				totalWV += weights[b] * vals[b]
 			}
-			cur[b] = best
-			choice[j][b] = bestA
-		}
-		prev, cur = cur, prev
-		segs = j + 1
-		if prev[B-1] == 0 {
-			break // exact fit found early
+			if totalW == 0 {
+				c[b] = 0
+				continue
+			}
+			// Smallest rank with cumulative weight >= totalW/2.
+			r := fw.findPrefix(totalW / 2)
+			med := sorted[r]
+			wLo := fw.prefix(r)
+			wvLo := fwv.prefix(r)
+			// Σ w|v − med| = med·wLo − wvLo + (totalWV − wvLo) − med·(totalW − wLo)
+			cost := med*wLo - wvLo + (totalWV - wvLo) - med*(totalW-wLo)
+			if cost < 0 {
+				cost = 0 // float cancellation guard
+			}
+			c[b] = cost
 		}
 	}
-	l1 := prev[B-1]
+}
 
-	starts := reconstruct(choice, segs, B)
-
-	// Build the relaxed optimizer: per segment, value = weighted median of
-	// vals over in-g weight; zero-weight segments take d's average value so
-	// the projection stays faithful off g.
+// project builds the Projection of d from the optimal cover's ℓ1 cost
+// and segment starts. Per segment, the relaxed optimizer takes the
+// weighted median of vals over in-g weight; zero-weight segments take d's
+// average value so the projection stays faithful off g.
+func (t tvCost) project(d *dist.PiecewiseConstant, g *intervals.Domain, l1 float64, starts []int) *Projection {
+	B := len(t.vals)
 	segIvs := make([]intervals.Interval, 0, len(starts))
 	segVals := make([]float64, 0, len(starts))
 	cuts := make([]int, 0, len(starts)-1)
@@ -137,8 +193,8 @@ func ProjectTV(d *dist.PiecewiseConstant, k int, g *intervals.Domain) (*Projecti
 		if si+1 < len(starts) {
 			end = starts[si+1]
 		}
-		iv := intervals.Interval{Lo: pieces[a].Iv.Lo, Hi: pieces[end-1].Iv.Hi}
-		v, ok := weightedMedian(vals[a:end], weights[a:end])
+		iv := intervals.Interval{Lo: t.pieces[a].Iv.Lo, Hi: t.pieces[end-1].Iv.Hi}
+		v, ok := weightedMedian(t.vals[a:end], t.weights[a:end])
 		if !ok {
 			v = d.IntervalMass(iv) / float64(iv.Len())
 		}
@@ -168,126 +224,82 @@ func ProjectTV(d *dist.PiecewiseConstant, k int, g *intervals.Domain) (*Projecti
 		Projected: projected,
 		Distance:  dist.TVDomain(d, projected, g),
 		Cuts:      cuts,
-	}, nil
+	}
 }
 
-// DistanceToHk returns lower and upper bounds on the true restricted TV
-// distance from d to the class of k-histogram distributions (see the
-// package comment: the DP relaxation brackets the constrained optimum).
-func DistanceToHk(d *dist.PiecewiseConstant, k int, g *intervals.Domain) (lower, upper float64, err error) {
-	proj, err := ProjectTV(d, k, g)
-	if err != nil {
-		return 0, 0, err
-	}
-	return proj.Relaxed, proj.Distance, nil
+// segmentation is the table of the k-segment DP over B pieces: layer j
+// holds, for every b, the least cost of covering pieces 0..b with at most
+// j+1 segments and the first piece of that cover's last segment.
+type segmentation struct {
+	B     int
+	best  []float64 // best[j*B+b]
+	start []int32   // start[j*B+b]
 }
 
-// DistanceCurve returns the relaxed distance of d to H_k for every
-// k = 1..kMax in a single DP pass (curve[k-1] is the distance at k) —
-// the scree curve driving "how many bins does this column need" analyses.
-// It shares the O(B²·log B) segment-cost table across all k, so the whole
-// curve costs barely more than one projection.
-func DistanceCurve(d *dist.PiecewiseConstant, kMax int, g *intervals.Domain) ([]float64, error) {
-	if kMax < 1 {
-		return nil, fmt.Errorf("histdp: kMax = %d must be positive", kMax)
+// segment runs the k-segment DP over B pieces in one sweep, with the
+// segment costs supplied a row at a time: row(a, c) fills c[b] =
+// cost(a, b) for a <= b < B. The outer loop runs over a, the first piece
+// of the last segment; each row is offered to every layer j <= a that can
+// end with a segment starting there, then dropped, so memory is O(k·B)
+// whatever B is. For each (layer, b) candidates arrive in ascending a and
+// the first strict minimum wins; once row b has been offered, column b is
+// complete and the cover with fewer segments, layer j−1's, wins ties.
+// That is the tie order of the layer-by-layer recurrence (fewer segments
+// first, then a = j..b under a strict <), so both pick the same covers.
+// ctx is checked before every row.
+func segment(ctx context.Context, B, k int, row func(a int, c []float64)) (segmentation, error) {
+	s := segmentation{B: B, best: make([]float64, k*B), start: make([]int32, k*B)}
+	for i := B; i < len(s.best); i++ {
+		s.best[i] = math.Inf(1)
 	}
-	if d.N() != g.N() {
-		return nil, fmt.Errorf("histdp: domain mismatch %d vs %d", d.N(), g.N())
+	c := make([]float64, B)
+	rows := B
+	if k == 1 {
+		rows = 1 // one segment: only the run starting at piece 0
 	}
-	pieces := d.Pieces()
-	B := len(pieces)
-	if B > MaxPieces {
-		return nil, fmt.Errorf("histdp: %d pieces exceeds limit %d; coarsen the input", B, MaxPieces)
-	}
-	vals := make([]float64, B)
-	weights := make([]float64, B)
-	gIvs := g.Intervals() // hoisted: Intervals() copies per call
-	for j, pc := range pieces {
-		vals[j] = pc.Mass / float64(pc.Iv.Len())
-		w := 0
-		for _, giv := range gIvs {
-			w += pc.Iv.Intersect(giv).Len()
+	for a := 0; a < rows; a++ {
+		if err := ctx.Err(); err != nil {
+			return segmentation{}, err
 		}
-		weights[j] = float64(w)
-	}
-	curve := make([]float64, kMax)
-	if B == 0 {
-		return curve, nil
-	}
-	cost := segmentCosts(vals, weights)
-	prev := make([]float64, B)
-	cur := make([]float64, B)
-	for b := 0; b < B; b++ {
-		prev[b] = cost[0][b]
-	}
-	curve[0] = prev[B-1] / 2
-	for k := 2; k <= kMax; k++ {
-		if k > B {
-			curve[k-1] = 0
-			continue
+		row(a, c)
+		ca := c[a:B]
+		if a == 0 {
+			copy(s.best[:B], ca) // layer 0; its starts are all 0
 		}
-		j := k - 1
-		for b := 0; b < B; b++ {
-			best := prev[b]
-			for a := j; a <= b; a++ {
-				if c := prev[a-1] + cost[a][b]; c < best {
-					best = c
+		for j := 1; j <= min(a, k-1); j++ {
+			base := s.best[(j-1)*B+a-1]
+			best := s.best[j*B+a : (j+1)*B][:len(ca)]
+			start := s.start[j*B+a : (j+1)*B][:len(ca)]
+			for i, x := range ca {
+				if v := base + x; v < best[i] {
+					best[i], start[i] = v, int32(a)
 				}
 			}
-			cur[b] = best
 		}
-		prev, cur = cur, prev
-		curve[k-1] = prev[B-1] / 2
+		for j := 1; j < k; j++ {
+			if fewer := s.best[(j-1)*B+a]; fewer <= s.best[j*B+a] {
+				s.best[j*B+a], s.start[j*B+a] = fewer, s.start[(j-1)*B+a]
+			}
+		}
 	}
-	return curve, nil
+	return s, nil
 }
 
-// segmentCosts returns cost[a][b] = min over v of Σ_{j=a..b} w_j·|vals_j−v|
-// for all 0 <= a <= b < B, in O(B² log B) time via Fenwick trees over the
-// global value ranks. The rows share one flat B² backing array: the table
-// is rebuilt from scratch on every call, and a single allocation keeps the
-// DP off the tester's per-invocation allocation budget (B is a few hundred
-// on the hot path, so row-wise allocation used to dominate ProjectTV).
-func segmentCosts(vals, weights []float64) [][]float64 {
-	B := len(vals)
-	ranks := rankOf(vals)
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
+// last returns the least cost of covering all B pieces with at most j+1
+// segments.
+func (s segmentation) last(j int) float64 { return s.best[j*s.B+s.B-1] }
 
-	cost := make([][]float64, B)
-	flat := make([]float64, B*B)
-	fw := newFenwick(B)  // total weight per rank
-	fwv := newFenwick(B) // weight·value per rank
-	for a := 0; a < B; a++ {
-		fw.reset()
-		fwv.reset()
-		cost[a] = flat[a*B : (a+1)*B : (a+1)*B]
-		totalW, totalWV := 0.0, 0.0
-		for b := a; b < B; b++ {
-			if weights[b] > 0 {
-				fw.add(ranks[b], weights[b])
-				fwv.add(ranks[b], weights[b]*vals[b])
-				totalW += weights[b]
-				totalWV += weights[b] * vals[b]
-			}
-			if totalW == 0 {
-				cost[a][b] = 0
-				continue
-			}
-			// Smallest rank with cumulative weight >= totalW/2.
-			r := fw.findPrefix(totalW / 2)
-			med := sorted[r]
-			wLo := fw.prefix(r)
-			wvLo := fwv.prefix(r)
-			// Σ w|v − med| = med·wLo − wvLo + (totalWV − wvLo) − med·(totalW − wLo)
-			c := med*wLo - wvLo + (totalWV - wvLo) - med*(totalW-wLo)
-			if c < 0 {
-				c = 0 // float cancellation guard
-			}
-			cost[a][b] = c
-		}
+// starts walks layer j's choices back from the last piece and returns the
+// segment starts of its cover, ascending (the first is 0).
+func (s segmentation) starts(j int) []int {
+	out := make([]int, 0, j+1)
+	for b := s.B - 1; b >= 0; j-- {
+		a := int(s.start[j*s.B+b])
+		out = append(out, a)
+		b = a - 1
 	}
-	return cost
+	slices.Reverse(out)
+	return out
 }
 
 // weightedMedian returns the weighted median of vals (ok=false when all

@@ -1,6 +1,7 @@
 package histdp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -71,7 +72,7 @@ func mkPC(t *testing.T, n int, cuts []int, masses []float64) *dist.PiecewiseCons
 func TestProjectTVExactFitWhenKLarge(t *testing.T) {
 	d := mkPC(t, 12, []int{4, 8}, []float64{0.5, 0.25, 0.25})
 	for _, k := range []int{3, 4, 10} {
-		proj, err := ProjectTV(d, k, intervals.FullDomain(12))
+		proj, err := ProjectTV(context.Background(), d, k, intervals.FullDomain(12))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestProjectTVKnownValue(t *testing.T) {
 	// is the weighted median value; ℓ1 = |0.375-v|+|0.375-v|+|0.125-v|+|0.125-v|
 	// minimized at v in [0.125, 0.375] (any median) → ℓ1 = 2·0.25 = 0.5, TV = 0.25.
 	d := mkPC(t, 4, []int{2}, []float64{0.75, 0.25})
-	proj, err := ProjectTV(d, 1, intervals.FullDomain(4))
+	proj, err := ProjectTV(context.Background(), d, 1, intervals.FullDomain(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestProjectTVMatchesBruteForce(t *testing.T) {
 			lo := r.Intn(n - 1)
 			g = intervals.NewDomain(n, []intervals.Interval{{Lo: lo, Hi: lo + 1 + r.Intn(n-lo-1)}})
 		}
-		proj, err := ProjectTV(d, k, g)
+		proj, err := ProjectTV(context.Background(), d, k, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +163,7 @@ func TestProjectTVBounds(t *testing.T) {
 		}
 		d, _ := dist.FromWeights(part, masses)
 		k := 1 + r.Intn(5)
-		proj, err := ProjectTV(d, k, intervals.FullDomain(n))
+		proj, err := ProjectTV(context.Background(), d, k, intervals.FullDomain(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestProjectTVRestrictedIgnoresOffDomain(t *testing.T) {
 	}
 	d := dist.MustPiecewiseConstant(16, pieces)
 	g := intervals.NewDomain(16, []intervals.Interval{{Lo: 0, Hi: 8}})
-	proj, err := ProjectTV(d, 1, g)
+	proj, err := ProjectTV(context.Background(), d, 1, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +200,10 @@ func TestProjectTVRestrictedIgnoresOffDomain(t *testing.T) {
 
 func TestProjectTVErrors(t *testing.T) {
 	d := dist.Uniform(8)
-	if _, err := ProjectTV(d, 0, intervals.FullDomain(8)); err == nil {
+	if _, err := ProjectTV(context.Background(), d, 0, intervals.FullDomain(8)); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := ProjectTV(d, 1, intervals.FullDomain(9)); err == nil {
+	if _, err := ProjectTV(context.Background(), d, 1, intervals.FullDomain(9)); err == nil {
 		t.Fatal("mismatched domain accepted")
 	}
 }
@@ -270,7 +271,7 @@ func TestDistanceCurve(t *testing.T) {
 		prev := math.Inf(1)
 		for k := 1; k <= kMax; k++ {
 			// Matches the per-k projection exactly.
-			proj, err := ProjectTV(d, k, g)
+			proj, err := ProjectTV(context.Background(), d, k, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,29 +360,23 @@ func TestHistogramComplexity(t *testing.T) {
 	if got := HistogramComplexity(d); got != 1 {
 		t.Fatalf("complexity = %d, want 1", got)
 	}
-	if !IsKHistogram(d, 1) || !IsKHistogram(d, 5) {
-		t.Fatal("IsKHistogram wrong")
-	}
 	d2 := mkPC(t, 12, []int{4, 8}, []float64{0.5, 0.25, 0.25})
 	if got := HistogramComplexity(d2); got != 2 {
 		// Pieces 2,3 have heights 0.0625 each → merge; piece 1 is 0.125.
 		t.Fatalf("complexity = %d, want 2", got)
 	}
-	if IsKHistogram(d2, 1) {
-		t.Fatal("d2 is not a 1-histogram")
-	}
 }
 
 func TestTrueDistanceDense(t *testing.T) {
 	d := dist.MustDense([]float64{0.5, 0, 0.5, 0})
-	lower, upper, err := TrueDistanceDense(d, 4, intervals.FullDomain(4))
+	lower, upper, err := DistanceToHk(d.ToPiecewiseConstant(), 4, intervals.FullDomain(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lower != 0 || upper > 1e-12 {
 		t.Fatalf("k=4 should fit exactly: %v %v", lower, upper)
 	}
-	lower, _, err = TrueDistanceDense(d, 1, intervals.FullDomain(4))
+	lower, _, err = DistanceToHk(d.ToPiecewiseConstant(), 1, intervals.FullDomain(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +435,7 @@ func BenchmarkProjectTV(b *testing.B) {
 	g := intervals.FullDomain(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ProjectTV(d, 8, g); err != nil {
+		if _, err := ProjectTV(context.Background(), d, 8, g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package histdp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dist"
@@ -19,73 +20,53 @@ func ProjectL2(d *dist.PiecewiseConstant, k int) (proj *dist.PiecewiseConstant, 
 	}
 	pieces := d.Pieces()
 	B := len(pieces)
-	if B > MaxPieces {
-		return nil, 0, fmt.Errorf("histdp: %d pieces exceeds limit %d; coarsen the input", B, MaxPieces)
-	}
 	if k >= B {
 		return d, 0, nil
 	}
+	s, err := segment(context.Background(), B, k, l2Rows(pieces))
+	if err != nil {
+		return nil, 0, err
+	}
+	return l2Project(d, pieces, s.starts(k-1)), s.last(k - 1), nil
+}
 
-	// Prefix sums over elements: w (count), wv (Σ value), wv2 (Σ value²),
-	// aggregated piece by piece.
+// l2Rows returns the row function of the squared-error segment cost:
+// row(a, c) sets c[b] to the squared deviation of d's values on pieces
+// a..b from their mean, from prefix sums over elements of the count, Σ
+// value and Σ value², aggregated piece by piece.
+func l2Rows(pieces []dist.Piece) func(a int, c []float64) {
+	B := len(pieces)
 	w := make([]float64, B+1)
 	wv := make([]float64, B+1)
 	wv2 := make([]float64, B+1)
-	vals := make([]float64, B)
 	for j, pc := range pieces {
 		ln := float64(pc.Iv.Len())
 		v := pc.Mass / ln
-		vals[j] = v
 		w[j+1] = w[j] + ln
 		wv[j+1] = wv[j] + ln*v
 		wv2[j+1] = wv2[j] + ln*v*v
 	}
-	// cost(a,b) over pieces a..b inclusive.
-	cost := func(a, b int) float64 {
-		cw := w[b+1] - w[a]
-		cv := wv[b+1] - wv[a]
-		cv2 := wv2[b+1] - wv2[a]
-		c := cv2 - cv*cv/cw
-		if c < 0 {
-			return 0 // numeric guard
-		}
-		return c
-	}
-
-	prev := make([]float64, B)
-	cur := make([]float64, B)
-	choice := make([][]int32, k)
-	for j := range choice {
-		choice[j] = make([]int32, B)
-	}
-	for b := 0; b < B; b++ {
-		prev[b] = cost(0, b)
-	}
-	segs := 1
-	for j := 1; j < k; j++ {
-		for b := 0; b < B; b++ {
-			best, bestA := prev[b], choice[j-1][b]
-			for a := j; a <= b; a++ {
-				if c := prev[a-1] + cost(a, b); c < best {
-					best, bestA = c, int32(a)
-				}
+	return func(a int, c []float64) {
+		for b := a; b < B; b++ {
+			cw := w[b+1] - w[a]
+			cv := wv[b+1] - wv[a]
+			cv2 := wv2[b+1] - wv2[a]
+			cost := cv2 - cv*cv/cw
+			if cost < 0 {
+				cost = 0 // numeric guard
 			}
-			cur[b] = best
-			choice[j][b] = bestA
-		}
-		prev, cur = cur, prev
-		segs = j + 1
-		if prev[B-1] <= 0 {
-			break
+			c[b] = cost
 		}
 	}
-	sse = prev[B-1]
+}
 
-	starts := reconstruct(choice, segs, B)
+// l2Project builds the normalized histogram of d over the cover with the
+// given segment starts: each segment keeps d's mass on it.
+func l2Project(d *dist.PiecewiseConstant, pieces []dist.Piece, starts []int) *dist.PiecewiseConstant {
 	out := make([]dist.Piece, 0, len(starts))
 	mass := 0.0
 	for si, a := range starts {
-		end := B
+		end := len(pieces)
 		if si+1 < len(starts) {
 			end = starts[si+1]
 		}
@@ -95,60 +76,16 @@ func ProjectL2(d *dist.PiecewiseConstant, k int) (proj *dist.PiecewiseConstant, 
 		mass += segMass
 	}
 	if mass <= 0 {
-		return dist.Uniform(d.N()), sse, nil
+		return dist.Uniform(d.N())
 	}
 	for j := range out {
 		out[j].Mass /= mass
 	}
-	return dist.MustPiecewiseConstant(d.N(), out), sse, nil
-}
-
-// reconstruct walks the choice table back to the list of segment start
-// piece indices (ascending, first element 0).
-func reconstruct(choice [][]int32, segs, B int) []int {
-	starts := make([]int, 0, segs)
-	b := B - 1
-	for j := segs - 1; j >= 0; j-- {
-		a := int(choice[j][b])
-		starts = append(starts, a)
-		b = a - 1
-		if b < 0 {
-			break
-		}
-	}
-	// starts were appended back to front.
-	for i, j := 0, len(starts)-1; i < j; i, j = i+1, j-1 {
-		starts[i], starts[j] = starts[j], starts[i]
-	}
-	if starts[0] != 0 {
-		starts = append([]int{0}, starts...)
-	}
-	return starts
+	return dist.MustPiecewiseConstant(d.N(), out)
 }
 
 // HistogramComplexity returns the number of pieces of the canonical
 // (compacted) representation of d — the smallest k for which d ∈ H_k.
 func HistogramComplexity(d *dist.PiecewiseConstant) int {
 	return d.Compact().PieceCount()
-}
-
-// IsKHistogram reports whether d is a k-histogram (within the compaction
-// tolerance).
-func IsKHistogram(d *dist.PiecewiseConstant, k int) bool {
-	return HistogramComplexity(d) <= k
-}
-
-// TrueDistanceDense computes, exactly, the relaxed distance from an
-// arbitrary Dense distribution to non-negative k-piecewise-constant
-// functions. The dense vector is first compacted to its minimal
-// piecewise-constant representation; the DP requires that representation
-// to have at most MaxPieces pieces (always true for n <= MaxPieces, and
-// true for much larger n when the vector is blocky or sparse). Used as a
-// ground-truth oracle in tests and experiments.
-func TrueDistanceDense(d *dist.Dense, k int, g *intervals.Domain) (lower, upper float64, err error) {
-	pc := d.ToPiecewiseConstant()
-	if pc.PieceCount() > MaxPieces {
-		return 0, 0, fmt.Errorf("histdp: dense input compacts to %d pieces, limit %d", pc.PieceCount(), MaxPieces)
-	}
-	return DistanceToHk(pc, k, g)
 }

@@ -283,10 +283,10 @@ func (d *Domain) Size() int {
 	return total
 }
 
-// Intervals returns a copy of the (sorted, disjoint) interval list.
-func (d *Domain) Intervals() []Interval {
-	return append([]Interval(nil), d.ivs...)
-}
+// Intervals returns the domain's own (sorted, disjoint) interval list,
+// without a copy: callers must treat it as read-only. Its capacity is
+// clipped to its length, so an append copies instead of writing past it.
+func (d *Domain) Intervals() []Interval { return d.ivs[:len(d.ivs):len(d.ivs)] }
 
 // Contains reports whether element i lies in the domain.
 func (d *Domain) Contains(i int) bool {

@@ -57,7 +57,7 @@ func TestPaninskiFarFromHk(t *testing.T) {
 		}
 		lb := PaninskiDistanceLB(eps, c) // = ε for c = 6
 		for _, k := range []int{1, 4, 16} {
-			lower, _, err := histdp.TrueDistanceDense(d, k, intervals.FullDomain(n))
+			lower, _, err := histdp.DistanceToHk(d.ToPiecewiseConstant(), k, intervals.FullDomain(n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestReductionLargeSideFar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lower, _, err := histdp.TrueDistanceDense(perm, rd.K(), intervals.FullDomain(n))
+		lower, _, err := histdp.DistanceToHk(perm.ToPiecewiseConstant(), rd.K(), intervals.FullDomain(n))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -778,3 +778,28 @@ func TestExpvarCounters(t *testing.T) {
 		t.Fatalf("histtest.samples_total did not move")
 	}
 }
+
+// TestAdmittedLargeKEpsEndsInVerdict: a request admission accepts ends in
+// a verdict. At k = 32, ε = 0.25 over n = 2²⁰ the learned D̂ has about
+// 5000 pieces, more than the check-stage DP once took (it answered 500
+// after the samples were drawn). The uniform spec is a 1-histogram, so
+// both engines must accept.
+func TestAdmittedLargeKEpsEndsInVerdict(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the check-stage DP over about 5000 pieces per engine")
+	}
+	_, _, c := newTestServer(t, serve.Config{Workers: 1, DefaultTimeout: raceScale * time.Minute, MaxTimeout: raceScale * time.Minute})
+	for _, engine := range []string{"adk", "cdkl22"} {
+		req := client.TestRequest{
+			Spec: &client.HistogramSpec{N: 1 << 20, Masses: []float64{1}},
+			K:    32, Eps: 0.25, CountStrategy: "closed-form", Engine: engine, Scale: 0.25,
+		}
+		res, err := c.Test(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if !res.Accept {
+			t.Fatalf("%s: uniform rejected at stage %s: %s", engine, res.Trace.RejectStage, res.Trace.RejectReason)
+		}
+	}
+}
