@@ -8,6 +8,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/histdp"
 	"repro/internal/intervals"
+	"repro/internal/learn"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
@@ -332,17 +333,42 @@ func (a *Arena) TestContext(ctx context.Context, o oracle.Oracle, r *rng.RNG, k 
 	return eng.run(ctx, a, o, r, k, eps, cfg)
 }
 
+// maxCheckCells bounds the check-stage DP at admission: k layers over
+// the partIntervals(b) intervals the nominal budgets assume, or over n
+// if fewer (a partition of [n] has at most n intervals), 12 bytes a
+// cell in histdp's sweep. Heavy singletons can lift the realized count
+// to 11b/3 + 2, so the table stays under about 40 MB. k = 32, ε = 0.25
+// and k = 64, ε = 0.5 need 0.29M and 0.69M cells under PracticalConfig;
+// every k < n passes over n <= 1448. Config.Scale does not move the
+// bound: b depends on k and ε alone.
+const maxCheckCells = 1 << 21
+
+// partIntervals is the nominal interval count of ApproxPart at b:
+// K <= 7b/3 + 2, heavy singletons aside.
+func partIntervals(b float64) int64 {
+	return learn.TotalSamples(learn.SampleCount(7*b/3), 2)
+}
+
 // CheckBudget is the driver's budget guard: it errs exactly when Test
-// over a domain of size n at (k, eps) under cfg would refuse to start
-// because the selected engine's nominal budget exceeds cfg.MaxSamples.
-// k >= n passes, since the driver accepts it without drawing. Callers
-// that want to refuse a run before queueing it use this.
+// over a domain of size n at (k, eps) under cfg would refuse to start,
+// because the selected engine's nominal budget exceeds cfg.MaxSamples
+// or because the check-stage DP over the nominal partition would hold
+// more than maxCheckCells cells. k >= n passes, since the driver
+// accepts it without drawing. Callers that want to refuse a run before
+// queueing it use this.
 func CheckBudget(n, k int, eps float64, cfg Config) error {
 	if k >= n {
 		return nil
 	}
 	if est := ExpectedSamples(n, k, eps, cfg); est > cfg.maxSamples() {
 		return fmt.Errorf("core: nominal budget %d samples exceeds the guard %d; lower the constants (Config.Scale) or raise Config.MaxSamples", est, cfg.maxSamples())
+	}
+	K := partIntervals(cfg.PartB(k, eps))
+	if K > int64(n) {
+		K = int64(n)
+	}
+	if cells := float64(k) * float64(K); cells > maxCheckCells {
+		return fmt.Errorf("core: the check-stage DP over k = %d layers and about %d intervals needs %.3g cells, over the guard %d; lower k or raise eps", k, K, cells, maxCheckCells)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -284,6 +285,46 @@ func TestExpectedSamplesSaturates(t *testing.T) {
 			o := oracle.NewSampler(threeHistogram(16), rng.New(1))
 			if _, err := Test(o, rng.New(2), 2, eps, cfg); err == nil || o.Samples() != 0 {
 				t.Fatalf("%s, eps=%g: err = %v after %d draws, want the budget guard before any draw", eng, eps, err, o.Samples())
+			}
+		}
+	}
+}
+
+// TestCheckBudgetBoundsCheckDP: admission refuses a run whose check-stage
+// DP would hold more than maxCheckCells cells, before any draw, on both
+// engines and at any Scale (the DP's size does not scale), while the
+// k = 32, ε = 0.25 and k = 64, ε = 0.5 runs over n = 2²⁰ stay admitted.
+// At k = 1024, ε = 0.5 the sample budget alone passes the guard; the DP
+// over its ~160,000-piece D̂ would ask for about 2 GB. Over a small
+// domain the partition has at most n intervals, so k = 1000 over
+// n = 1024 stays admitted although its nominal count is ~140,000.
+func TestCheckBudgetBoundsCheckDP(t *testing.T) {
+	const n = 1 << 20
+	for _, eng := range Engines() {
+		cfg := PracticalConfig()
+		cfg.Engine = eng
+		for _, c := range []struct {
+			n, k int
+			eps  float64
+		}{{n, 32, 0.25}, {n, 64, 0.5}, {1024, 1000, 1}} {
+			if err := CheckBudget(c.n, c.k, c.eps, cfg); err != nil {
+				t.Fatalf("%s, n=%d, k=%d, eps=%g: %v, want admitted", eng, c.n, c.k, c.eps, err)
+			}
+		}
+		if est := ExpectedSamples(n, 1024, 0.5, cfg); est > cfg.maxSamples() {
+			t.Fatalf("%s: k=1024 nominal budget %d is over the sample guard; the case no longer isolates the DP guard", eng, est)
+		}
+		for _, c := range []struct {
+			k     int
+			scale float64
+		}{{1024, 1}, {1024, 0.01}, {4096, 0.01}} {
+			scaled := cfg.Scale(c.scale)
+			if err := CheckBudget(n, c.k, 0.5, scaled); err == nil || !strings.Contains(err.Error(), "check-stage DP") {
+				t.Fatalf("%s, k=%d, scale %g: err = %v, want the check-stage DP guard", eng, c.k, c.scale, err)
+			}
+			o := oracle.NewSampler(dist.Uniform(n), rng.New(1))
+			if _, err := Test(o, rng.New(2), c.k, 0.5, scaled); err == nil || o.Samples() != 0 {
+				t.Fatalf("%s, k=%d, scale %g: err = %v after %d draws, want the guard before any draw", eng, c.k, c.scale, err, o.Samples())
 			}
 		}
 	}

@@ -68,7 +68,7 @@ func (adkEngine) ExpectedSamples(n, k int, eps float64, cfg Config) int64 {
 	b := cfg.PartB(k, eps)
 	partM := learn.ApproxPartSamples(b, cfg.PartSampleC)
 	// ApproxPart yields K <= ~7b/3 + #heavy + 2 intervals.
-	K := int(learn.TotalSamples(learn.SampleCount(7*b/3), 2))
+	K := int(partIntervals(b))
 	learnM := learn.LearnSamples(K, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
 	alpha := cfg.Alpha(eps)
 	mSieve := cfg.SieveMFactor * math.Sqrt(float64(n)) / (alpha * alpha)

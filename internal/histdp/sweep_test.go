@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/intervals"
@@ -257,38 +256,30 @@ func FuzzSegmentSweep(f *testing.F) {
 	})
 }
 
-// TestSegmentHonorsContext: at B ≈ 6000 and k = 64 the check-stage sweep
-// runs for seconds; a 50 ms deadline must end it within a few rows, and a
-// context cancelled beforehand must end it before the first row.
+// TestSegmentHonorsContext: the sweep checks ctx before every row, so a
+// cancellation during row N ends it after exactly N rows, and a context
+// cancelled beforehand runs none; ProjectTV hands its ctx to the sweep.
 func TestSegmentHonorsContext(t *testing.T) {
-	r := rng.New(7)
-	const B = 6000
-	lens := make([]int, B)
-	vals := make([]float64, B)
-	for j := range lens {
-		lens[j] = 1 + r.Intn(4)
-		vals[j] = float64(r.Intn(1<<20)) / (1 << 20)
-	}
-	d := sweepInput(lens, vals)
-	g := intervals.FullDomain(d.N())
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := ProjectTV(ctx, d, 64, g)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed > raceScale*500*time.Millisecond {
-		t.Fatalf("returned %v after a 50 ms deadline", elapsed)
-	}
-
-	cancelled, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
+	const B, k, stop = 300, 16, 37
+	ctx, cancel := context.WithCancel(context.Background())
 	rows := 0
-	_, err = segment(cancelled, B, 64, func(int, []float64) { rows++ })
+	_, err := segment(ctx, B, k, func(int, []float64) {
+		if rows++; rows == stop {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) || rows != stop {
+		t.Fatalf("cancelled in row %d: err = %v after %d rows, want context.Canceled after %d", stop, err, rows, stop)
+	}
+
+	rows = 0
+	_, err = segment(ctx, B, k, func(int, []float64) { rows++ })
 	if !errors.Is(err, context.Canceled) || rows != 0 {
 		t.Fatalf("pre-cancelled: err = %v after %d rows, want context.Canceled after 0", err, rows)
+	}
+
+	d := sweepInput([]int{1, 2, 3, 1}, []float64{0.1, 0.4, 0.2, 0.3})
+	if _, err := ProjectTV(ctx, d, 2, intervals.FullDomain(d.N())); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ProjectTV under a cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

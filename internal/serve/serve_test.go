@@ -662,6 +662,11 @@ func TestBadRequests(t *testing.T) {
 		{"negative scale", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 0.5, Scale: -1}, 400, client.ErrCodeBadRequest},
 		{"over budget", client.TestRequest{Spec: &client.HistogramSpec{N: 1 << 30, Masses: []float64{1}}, K: 2, Eps: 0.01}, 400, client.ErrCodeBadRequest},
 		{"vanishing eps", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 1e-20}, 400, client.ErrCodeBadRequest},
+		// Under the sample guard, but the check-stage DP over D̂'s ~160,000
+		// pieces would ask for gigabytes: refused before any draw.
+		{"check DP over the guard", client.TestRequest{Spec: &client.HistogramSpec{N: 1 << 20, Masses: []float64{1}}, K: 1024, Eps: 0.5}, 400, client.ErrCodeBadRequest},
+		{"check DP over the guard cdkl22", client.TestRequest{Spec: &client.HistogramSpec{N: 1 << 20, Masses: []float64{1}}, K: 1024, Eps: 0.5, Engine: "cdkl22"}, 400, client.ErrCodeBadRequest},
+		{"check DP over the guard at a small scale", client.TestRequest{Spec: &client.HistogramSpec{N: 1 << 20, Masses: []float64{1}}, K: 4096, Eps: 0.5, Scale: 0.01}, 400, client.ErrCodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
